@@ -44,6 +44,8 @@ class TransponderParams:
     nu: float = 2.0e5
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.alpha, self.d, self.nu)):
+            raise ValueError("alpha, d and nu must be finite")
         if self.alpha < 0 or self.d < 0:
             raise ValueError("alpha and d must be nonnegative")
         if self.nu <= 0:

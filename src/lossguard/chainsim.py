@@ -21,7 +21,7 @@ from lossguard.channel import (
     SUCCESS_STATUSES,
     SegmentModel,
 )
-from lossguard.simcore import PureState, fidelity, random_state
+from lossguard.simcore import PureState, random_state
 
 _CHUNK = 5000  # fixed so chunk boundaries never depend on worker count
 
@@ -51,8 +51,11 @@ class ChainConfig:
                 f"run of {self.trials} x {self.num_stages} stages exceeds the "
                 f"budget of {self.max_stage_evals} stage evaluations"
             )
-        if self.p_t_override is not None and not 0.0 <= self.p_t_override <= 1.0:
-            raise ValueError("p_t_override must lie in [0, 1]")
+        if self.p_t_override is not None:
+            if self.mode != MODE_AGGREGATE:
+                raise ValueError("p_t_override only applies to aggregate_pt")
+            if not 0.0 <= self.p_t_override <= 1.0:
+                raise ValueError("p_t_override must lie in [0, 1]")
 
     def effective_p_t(self) -> float:
         if self.p_t_override is not None:
@@ -148,15 +151,11 @@ def _chain_chunk(
     """Totals over trials [start, stop): first-stage successes, end-to-end
     successes, summed decoded fidelity of the survivors."""
     model = SegmentModel(config.params.alpha, config.params.d)
-    recovery_cache: dict = {}
-    fidelity_cache: dict[bytes, float] = {}
     first_stage = 0
-    survived = 0
-    fidelity_sum = 0.0
+    survivors = []
     for trial in range(start, stop):
         rng = _trial_rng(config.seed, trial)
         state = encoded
-        ok = True
         for stage_index in range(config.num_stages):
             result = channel.stage(
                 state,
@@ -165,27 +164,29 @@ def _chain_chunk(
                 rng,
                 mode=config.mode,
                 p_t_override=config.p_t_override,
-                recovery_cache=recovery_cache,
                 check_code_space=False,
             )
-            good = result.status in SUCCESS_STATUSES
-            if stage_index == 0 and good:
-                first_stage += 1
-            if not good:
-                ok = False
+            if result.status not in SUCCESS_STATUSES:
                 break
+            if stage_index == 0:
+                first_stage += 1
             state = result.state
-        if ok:
-            survived += 1
-            key = state.amplitudes.tobytes()
-            if key not in fidelity_cache:
-                fidelity_cache[key] = fidelity(losscode.decode(state), logical)
-            fidelity_sum += fidelity_cache[key]
-    return first_stage, survived, fidelity_sum
+        else:
+            survivors.append(state.amplitudes)
+    if not survivors:
+        return first_stage, 0, 0.0
+    decoded = losscode.decode_amplitudes(np.array(survivors))
+    fidelities = np.abs(decoded.conj() @ logical.amplitudes) ** 2
+    return first_stage, len(survivors), float(np.sum(fidelities))
 
 
-def _chunks(trials: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
+def _run_chunks(chunk_fn, args: tuple, trials: int, workers: int) -> list:
+    """chunk_fn(*args, lo, hi) over the fixed trial chunks, pooled when workers > 1."""
+    chunks = [args + (lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
+    if workers > 1 and len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(chunk_fn, *zip(*chunks)))
+    return [chunk_fn(*chunk) for chunk in chunks]
 
 
 def _binomial_stderr(rate: float, trials: int) -> float:
@@ -205,18 +206,7 @@ def run_chain(
         raise ValueError("logical input must be a two-qubit state")
     encoded = losscode.encode(logical)
 
-    parts = []
-    chunks = _chunks(config.trials)
-    if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _chain_chunk,
-                    *zip(*[(config, encoded, logical, lo, hi) for lo, hi in chunks]),
-                )
-            )
-    else:
-        parts = [_chain_chunk(config, encoded, logical, lo, hi) for lo, hi in chunks]
+    parts = _run_chunks(_chain_chunk, (config, encoded, logical), config.trials, workers)
 
     first_stage = sum(p[0] for p in parts)
     survived = sum(p[1] for p in parts)
@@ -282,15 +272,7 @@ def run_loop(config: ChainConfig, workers: int = 1) -> LoopStats:
     Surviving cycle counts are geometric; trials still alive at max_cycles
     are censored at the cap.
     """
-    chunks = _chunks(config.trials)
-    if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(_loop_chunk, *zip(*[(config, lo, hi) for lo, hi in chunks]))
-            )
-    else:
-        parts = [_loop_chunk(config, lo, hi) for lo, hi in chunks]
-
+    parts = _run_chunks(_loop_chunk, (config,), config.trials, workers)
     trials = config.trials
     total = sum(p[0] for p in parts)
     total_sq = math.fsum(p[1] for p in parts)

@@ -9,14 +9,17 @@ line every stage, so its gates must fire whether or not a loss occurred.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from lossguard import analytics, losscode
 from lossguard.analytics import TransponderParams, gate_success, p_t_full
-from lossguard.simcore import PureState, partial_trace
+from lossguard.simcore import PureState
 
 MODE_AGGREGATE = "aggregate_pt"
 MODE_PER_GATE = "per_gate"
@@ -31,6 +34,10 @@ SUCCESS_STATUSES = (STATUS_INTACT, STATUS_CORRECTED)
 
 RAILS = 4
 
+# _SPLITS[k][i, b]: index of the amplitude with surviving rails in state i and rail k = b
+_RAIL_AXES = np.arange(1 << RAILS).reshape((2,) * RAILS)
+_SPLITS = [np.moveaxis(_RAIL_AXES, k, -1).reshape(-1, 2) for k in range(RAILS)]
+
 
 @dataclass(frozen=True)
 class SegmentModel:
@@ -40,6 +47,8 @@ class SegmentModel:
     d: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.alpha) and math.isfinite(self.d)):
+            raise ValueError("alpha and d must be finite")
         if self.alpha < 0 or self.d < 0:
             raise ValueError("alpha and d must be nonnegative")
 
@@ -132,32 +141,6 @@ def gates_succeed(
     return ok
 
 
-def _canonical_key(state: PureState) -> bytes:
-    # Global phase and last-ulp rounding must not fragment the cache: fix the
-    # phase of the largest amplitude and round before hashing.
-    amps = state.amplitudes
-    k = int(np.argmax(np.abs(amps)))
-    phase = amps[k] / abs(amps[k])
-    return np.round(amps / phase, 12).tobytes()
-
-
-def _recovery_branches(
-    encoded: PureState, position: int, cache: dict | None
-) -> tuple[np.ndarray, list[PureState]]:
-    key = (_canonical_key(encoded), position)
-    if cache is not None and key in cache:
-        return cache[key]
-    damaged = partial_trace(encoded.to_density_matrix(), position)
-    branches = losscode.recovery_branches(damaged, position)
-    probs = np.array([b.measurement.outcome_probability for b in branches])
-    cumulative = np.cumsum(probs / probs.sum())
-    cumulative[-1] = 1.0
-    value = (cumulative, [b.corrected_state for b in branches])
-    if cache is not None:
-        cache[key] = value
-    return value
-
-
 def stage(
     encoded: PureState,
     model: SegmentModel,
@@ -167,14 +150,12 @@ def stage(
     mode: str = MODE_AGGREGATE,
     p_t_override: float | None = None,
     force_event: LossEvent | None = None,
-    recovery_cache: dict | None = None,
     check_code_space: bool = True,
 ) -> StageResult:
     """Send a code block through one segment and its transponder.
 
-    `force_event` pins the loss pattern (test hook); `recovery_cache` may be
-    shared across calls to memoize recovery branches, which are a pure
-    function of the encoded state and loss position.
+    `force_event` pins the loss pattern (test hook).  A single loss applies
+    the compiled recovery maps of its position to the block's amplitudes.
     """
     if check_code_space and not losscode.in_code_space(encoded):
         raise ValueError("stage input is not in the code space")
@@ -188,6 +169,22 @@ def stage(
         return StageResult(STATUS_INTACT, encoded, event)
     if not gates_ok:
         return StageResult(STATUS_FAILED_GATES, None, event)
-    cumulative, states = _recovery_branches(encoded, event.lost_position(), recovery_cache)
-    choice = int(np.searchsorted(cumulative, rng.random(), side="right"))
-    return StageResult(STATUS_CORRECTED, states[choice], event)
+    position = event.lost_position()
+    # The two values of the lost rail split the block into two surviving-rail
+    # vectors; one product sends both through all four readout maps.
+    images = losscode.branch_maps(position) @ encoded.amplitudes[_SPLITS[position]]
+    weights = (images * images.conj()).real.sum(axis=1).tolist()  # [readout][lost-rail value]
+    probs = [w0 + w1 for w0, w1 in weights]
+    total = sum(probs)
+    # the last bound is left out, which reads it as exactly 1
+    cumulative = list(accumulate(p / total for p in probs))[:-1]
+    choice = bisect_right(cumulative, rng.random())
+    # Tracing out the lost rail mixes the two images of the chosen readout;
+    # the result is pure only when they are parallel.
+    first, second = images[choice, :, 0], images[choice, :, 1]
+    w0, w1 = weights[choice]
+    mixed = (w0 * w1 - abs(np.vdot(first, second)) ** 2) / probs[choice] ** 2
+    if mixed > losscode.RECOVERY_TOL:
+        raise losscode.RecoveryError(f"post-measurement state not pure: mixed weight {mixed:.3g}")
+    kept, weight = (first, w0) if w0 >= w1 else (second, w1)
+    return StageResult(STATUS_CORRECTED, PureState(RAILS, kept / np.sqrt(weight)), event)

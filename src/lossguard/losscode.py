@@ -6,28 +6,33 @@ fresh |0> for the missing photon, entangles all four rails with an ancilla
 pair (CNOTs from the first ancilla, CZs from the second), reads the
 ancillae out in the X basis, and applies a conditional Pauli correction on
 the substituted rail.
+
+Circuit, readout and correction together are linear: for each loss
+position and ancilla readout, recovery is one fixed 16x8 map from the three
+surviving rails to the corrected four-rail state.  `branch_maps` compiles
+the four maps of a position once, from the circuit definition below.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from lossguard.simcore import (
+    ZERO_BRANCH_TOL,
     DensityMatrix,
     Gate,
+    ImpossibleBranchError,
     MeasurementRecord,
     PureState,
     apply_gate,
-    apply_gate_dm,
-    branch_probabilities,
-    embed,
     fidelity,
     partial_trace,
-    project,
     pure_from_density,
+    random_state,
     tensor,
 )
 
@@ -35,6 +40,9 @@ DATA_QUBITS = 4
 ANCILLA_QUBITS = (4, 5)
 OUTCOMES = ("00", "01", "10", "11")
 PAULI_WORDS = ("I", "X", "Z", "XZ")
+
+_RAIL_KETS = [format(i, f"0{DATA_QUBITS}b") for i in range(1 << DATA_QUBITS)]
+_SURVIVOR_KETS = [format(i, f"0{DATA_QUBITS - 1}b") for i in range(1 << (DATA_QUBITS - 1))]
 
 CODE_SPACE_TOL = 1e-10
 RECOVERY_TOL = 1e-10
@@ -67,9 +75,6 @@ RECOVERY_GATES = (
     + tuple(Gate("CZ", (5, j)) for j in range(DATA_QUBITS))
     + (Gate("H", (4,)), Gate("H", (5,)))
 )
-
-_KET0 = PureState.basis("0")
-
 
 class CodeSpaceError(ValueError):
     """Input state is not in the code space."""
@@ -138,26 +143,51 @@ def encode(logical: PureState) -> PureState:
     return state
 
 
+def _circuit_matrix(gates: tuple[Gate, ...], inputs: list[str]) -> np.ndarray:
+    """Column i is the gate sequence applied to the basis state inputs[i]."""
+    columns = []
+    for bits in inputs:
+        state = PureState.basis(bits)
+        for gate in gates:
+            state = apply_gate(state, gate)
+        columns.append(state.amplitudes)
+    return np.column_stack(columns)
+
+
+@lru_cache(maxsize=1)
+def _decoder() -> np.ndarray:
+    """The inverse of the encoding circuit on all four wires, as a 16x16 matrix."""
+    matrix = _circuit_matrix(ENCODING_GATES[::-1], _RAIL_KETS)
+    matrix.setflags(write=False)
+    return matrix
+
+
+def decode_amplitudes(encoded: np.ndarray, tol: float = CODE_SPACE_TOL) -> np.ndarray:
+    """Decode rows of four-rail amplitudes to normalized two-qubit amplitudes.
+
+    Raises CodeSpaceError when any row leaks more than `tol` of its weight
+    onto the ancilla wires.
+    """
+    grid = (encoded @ _decoder().T).reshape(-1, 4, 4)
+    leak = np.sum(np.abs(grid[:, :, 1:]) ** 2, axis=(1, 2))
+    if np.any(leak > tol):
+        raise CodeSpaceError(f"ancilla wires not |00>: leaked weight {float(leak.max())!r}")
+    logical = grid[:, :, 0]
+    return logical / np.linalg.norm(logical, axis=1, keepdims=True)
+
+
 def decode(encoded: PureState) -> PureState:
     """Invert the encoding; reject states outside the code space."""
     if encoded.num_qubits != DATA_QUBITS:
         raise ValueError("decode expects a four-qubit state")
-    state = encoded
-    for gate in reversed(ENCODING_GATES):
-        state = apply_gate(state, gate)
-    grid = state.amplitudes.reshape(4, 4)
-    leak = float(np.sum(np.abs(grid[:, 1:]) ** 2))
-    if leak > CODE_SPACE_TOL:
-        raise CodeSpaceError(f"ancilla wires not |00>: leaked weight {leak!r}")
-    logical = grid[:, 0]
-    return PureState(2, logical / np.linalg.norm(logical))
+    return PureState(2, decode_amplitudes(encoded.amplitudes[None, :])[0])
 
 
 def in_code_space(state: PureState, tol: float = CODE_SPACE_TOL) -> bool:
     if state.num_qubits != DATA_QUBITS:
         return False
     try:
-        decode(state)
+        decode_amplitudes(state.amplitudes[None, :], tol)
     except CodeSpaceError:
         return False
     return True
@@ -181,60 +211,91 @@ def apply_pauli_word(state: PureState, word: str, qubit: int) -> PureState:
     return state
 
 
-def _premeasurement_state(damaged: DensityMatrix, loss_position: int) -> DensityMatrix:
-    """Substitute |0> at the lost rail, adjoin the ancilla pair, run the circuit."""
+def _check_recovery_inputs(damaged: DensityMatrix, loss_position: int) -> int:
     if damaged.num_qubits != DATA_QUBITS - 1:
         raise ValueError("damaged state must have three qubits")
-    rho = embed(damaged, _KET0, loss_position)
-    rho = embed(rho, _KET0, 4)
-    rho = embed(rho, _KET0, 5)
-    for gate in RECOVERY_GATES:
-        rho = apply_gate_dm(rho, gate)
-    return rho
+    return _check_position(loss_position)
 
 
-def _strip_ancillas(rho: DensityMatrix) -> DensityMatrix:
-    return partial_trace(partial_trace(rho, 5), 4)
+def _circuit_maps(loss_position: int) -> np.ndarray:
+    """The recovery circuit before correction: one 16x8 map per ancilla readout.
+
+    Column i runs surviving-rail basis state i, with |0> at the lost rail and
+    the ancillae (the last two wires, hence the low index bits) in |00>.
+    """
+    inputs = [b[:loss_position] + "0" + b[loss_position:] + "00" for b in _SURVIVOR_KETS]
+    columns = _circuit_matrix(RECOVERY_GATES, inputs)
+    return columns.reshape(len(_RAIL_KETS), len(OUTCOMES), -1).transpose(1, 0, 2)
 
 
-def _projected_branch(rho: DensityMatrix, outcome: str) -> tuple[MeasurementRecord, PureState]:
-    """One forced ancilla readout; the surviving four-rail state is always pure."""
-    record, post = project(rho, ANCILLA_QUBITS, outcome)
-    reduced = _strip_ancillas(post)
+def _pauli_matrix(word: str, qubit: int) -> np.ndarray:
+    columns = [apply_pauli_word(PureState.basis(b), word, qubit).amplitudes for b in _RAIL_KETS]
+    return np.column_stack(columns)
+
+
+@lru_cache(maxsize=DATA_QUBITS)
+def branch_maps(loss_position: int) -> np.ndarray:
+    """Compiled loss recovery at one position, shape (4, 16, 8).
+
+    maps[m] takes the three surviving rails to the corrected four-rail state
+    for ancilla readout OUTCOMES[m], with the correction from
+    derive_correction_table folded in.  A damaged state rho goes to
+    A rho A^dagger, whose trace is the probability of the readout.
+    """
+    loss_position = _check_position(loss_position)
+    words = derive_correction_table(loss_position).entries
+    raw = _circuit_maps(loss_position)
+    maps = np.stack([_pauli_matrix(words[o], loss_position) @ a for o, a in zip(OUTCOMES, raw)])
+    maps.setflags(write=False)
+    return maps
+
+
+def _apply_map(
+    a: np.ndarray, damaged: DensityMatrix, outcome: str
+) -> tuple[MeasurementRecord, PureState]:
+    """One ancilla readout; the surviving four-rail state is always pure."""
+    sigma = a @ damaged.matrix @ a.conj().T
+    prob = float(np.real(np.trace(sigma)))
+    if prob <= ZERO_BRANCH_TOL:
+        raise ImpossibleBranchError(f"readout {outcome} has probability {prob!r}")
+    record = MeasurementRecord(ANCILLA_QUBITS, tuple(int(b) for b in outcome), prob)
     try:
-        state = pure_from_density(reduced, tol=RECOVERY_TOL)
+        state = pure_from_density(DensityMatrix(DATA_QUBITS, sigma / prob), tol=RECOVERY_TOL)
     except ValueError as exc:
         raise RecoveryError(f"post-measurement state not pure: {exc}") from exc
     return record, state
 
 
-def recovery_branches(
-    damaged: DensityMatrix, loss_position: int
+def _recover(
+    damaged: DensityMatrix,
+    loss_position: int,
+    outcomes: tuple[str, ...],
+    expected: PureState | None,
 ) -> tuple[RecoveryOutcome, ...]:
-    """All four corrected measurement branches for a heralded loss."""
-    loss_position = _check_position(loss_position)
-    table = derive_correction_table(loss_position)
-    rho = _premeasurement_state(damaged, loss_position)
+    """Corrected branches of a heralded loss, one per listed ancilla readout.
+
+    When `expected` is given, a RecoveryError is raised if any branch falls
+    below fidelity 1 - RECOVERY_TOL.
+    """
+    loss_position = _check_recovery_inputs(damaged, loss_position)
+    maps = branch_maps(loss_position)
+    words = derive_correction_table(loss_position).entries
     branches = []
-    for outcome in OUTCOMES:
-        record, state = _projected_branch(rho, outcome)
-        word = table.entries[outcome]
-        corrected = apply_pauli_word(state, word, loss_position)
-        branches.append(RecoveryOutcome(record, corrected, word))
+    for outcome in outcomes:
+        if outcome not in OUTCOMES:
+            raise ValueError(f"outcome must be one of {OUTCOMES}, got {outcome!r}")
+        record, state = _apply_map(maps[OUTCOMES.index(outcome)], damaged, outcome)
+        if expected is not None:
+            fid = fidelity(state, expected)
+            if fid < 1.0 - RECOVERY_TOL:
+                raise RecoveryError(f"outcome {outcome} recovered with fidelity {fid!r}")
+        branches.append(RecoveryOutcome(record, state, words[outcome]))
     return tuple(branches)
 
 
-def _pick_branch(
-    branches: tuple[RecoveryOutcome, ...], expected: PureState | None
-) -> None:
-    if expected is not None:
-        for branch in branches:
-            fid = fidelity(branch.corrected_state, expected)
-            if fid < 1.0 - RECOVERY_TOL:
-                raise RecoveryError(
-                    f"outcome {branch.measurement.outcome_bits} recovered with "
-                    f"fidelity {fid!r}"
-                )
+def recovery_branches(damaged: DensityMatrix, loss_position: int) -> tuple[RecoveryOutcome, ...]:
+    """All four corrected measurement branches for a heralded loss."""
+    return _recover(damaged, loss_position, OUTCOMES, None)
 
 
 def recover(
@@ -248,8 +309,7 @@ def recover(
     When `expected` is given, every branch is checked against it and a
     RecoveryError is raised if any falls below fidelity 1 - 1e-10.
     """
-    branches = recovery_branches(damaged, loss_position)
-    _pick_branch(branches, expected)
+    branches = _recover(damaged, loss_position, OUTCOMES, expected)
     probs = np.array([b.measurement.outcome_probability for b in branches])
     choice = int(rng.choice(len(branches), p=probs / probs.sum()))
     return branches[choice]
@@ -262,49 +322,20 @@ def recover_forced(
     expected: PureState | None = None,
 ) -> RecoveryOutcome:
     """Loss recovery with the ancilla readout pinned to one outcome."""
-    loss_position = _check_position(loss_position)
-    if outcome not in OUTCOMES:
-        raise ValueError(f"outcome must be one of {OUTCOMES}, got {outcome!r}")
-    table = derive_correction_table(loss_position)
-    rho = _premeasurement_state(damaged, loss_position)
-    record, state = _projected_branch(rho, outcome)
-    word = table.entries[outcome]
-    branch = RecoveryOutcome(record, apply_pauli_word(state, word, loss_position), word)
-    _pick_branch((branch,), expected)
-    return branch
+    return _recover(damaged, loss_position, (outcome,), expected)[0]
 
 
-def _restores_codewords(
-    word: str,
-    loss_position: int,
-    projected: list[PureState],
+def _restores(
+    word: str, loss_position: int, a: np.ndarray, outcome: str, rng: np.random.Generator
 ) -> bool:
-    # Per-codeword check only; each codeword may come back with its own
-    # phase because eigenvector extraction fixes phases arbitrarily.
-    for codeword, state in zip(codewords(), projected):
-        corrected = apply_pauli_word(state, word, loss_position)
-        if abs(fidelity(corrected, codeword.state) - 1.0) > RECOVERY_TOL:
-            return False
-    return True
-
-
-def _restores_superpositions(
-    word: str,
-    loss_position: int,
-    outcome: str,
-    rng: np.random.Generator,
-    samples: int = 3,
-) -> bool:
-    # Superpositions travel through the mixed damaged state, which keeps all
-    # relative phases, so this rules out corrections that only fix the basis
-    # codewords up to inconsistent signs.
-    from lossguard.simcore import random_state
-
-    for _ in range(samples):
-        encoded = encode(random_state(2, rng))
+    # The four codewords first, then three random superpositions, drawn only
+    # while the word still passes.  Per-state check only; each state may come
+    # back with its own phase because eigenvector extraction fixes phases
+    # arbitrarily.
+    superpositions = (encode(random_state(2, rng)) for _ in range(3))
+    for encoded in itertools.chain((c.state for c in codewords()), superpositions):
         damaged = partial_trace(encoded.to_density_matrix(), loss_position)
-        rho = _premeasurement_state(damaged, loss_position)
-        _, state = _projected_branch(rho, outcome)
+        _, state = _apply_map(a, damaged, outcome)
         corrected = apply_pauli_word(state, word, loss_position)
         if abs(fidelity(corrected, encoded) - 1.0) > RECOVERY_TOL:
             return False
@@ -316,26 +347,16 @@ def derive_correction_table(loss_position: int) -> CorrectionTable:
     """Brute-force the outcome -> Pauli word table for one loss position.
 
     For each ancilla outcome, search {I, X, Z, XZ} on the substituted rail
-    for the word that restores all four codewords and random superpositions.
+    for the word that restores all four codewords and random superpositions
+    through the uncorrected circuit map.  Superpositions travel through the
+    mixed damaged state, which keeps all relative phases, so they rule out
+    corrections that only fix the codewords up to inconsistent signs.
     """
     loss_position = _check_position(loss_position)
-    projected: dict[str, list[PureState]] = {outcome: [] for outcome in OUTCOMES}
-    for codeword in codewords():
-        damaged = partial_trace(codeword.state.to_density_matrix(), loss_position)
-        rho = _premeasurement_state(damaged, loss_position)
-        for outcome in OUTCOMES:
-            _, state = _projected_branch(rho, outcome)
-            projected[outcome].append(state)
-
     rng = np.random.default_rng(20240 + loss_position)
     entries: dict[str, str] = {}
-    for outcome in OUTCOMES:
-        candidates = [
-            word
-            for word in PAULI_WORDS
-            if _restores_codewords(word, loss_position, projected[outcome])
-            and _restores_superpositions(word, loss_position, outcome, rng)
-        ]
+    for outcome, a in zip(OUTCOMES, _circuit_maps(loss_position)):
+        candidates = [w for w in PAULI_WORDS if _restores(w, loss_position, a, outcome, rng)]
         if len(candidates) != 1:
             raise TableDerivationError(
                 f"position {loss_position}, outcome {outcome}: "
@@ -351,6 +372,5 @@ def all_correction_tables() -> list[CorrectionTable]:
 
 def outcome_probabilities(damaged: DensityMatrix, loss_position: int) -> np.ndarray:
     """Ancilla readout distribution; uniform 1/4 for any code-space input."""
-    loss_position = _check_position(loss_position)
-    rho = _premeasurement_state(damaged, loss_position)
-    return branch_probabilities(rho, ANCILLA_QUBITS)
+    maps = branch_maps(_check_recovery_inputs(damaged, loss_position))
+    return np.real(np.einsum("mij,jk,mik->m", maps, damaged.matrix, maps.conj()))

@@ -98,10 +98,6 @@ class DensityMatrix:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    @classmethod
-    def from_pure(cls, state: PureState) -> "DensityMatrix":
-        return state.to_density_matrix()
-
 
 @dataclass(frozen=True)
 class Gate:

@@ -288,3 +288,12 @@ def test_params_validation():
         TransponderParams(alpha=0.1, d=1.0, n=1, nu=0.0)
     params = TransponderParams(alpha=0.05, d=12.0, n=8)
     assert params.x == pytest.approx(0.6, rel=1e-15)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["alpha", "d", "nu"])
+def test_params_reject_non_finite_values(name, bad):
+    kwargs = dict(alpha=0.05, d=12.0, n=8, nu=2.0e5)
+    kwargs[name] = bad
+    with pytest.raises(ValueError):
+        TransponderParams(**kwargs)

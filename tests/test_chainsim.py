@@ -35,6 +35,11 @@ def test_config_validation():
         ChainConfig(params=MID_PARAMS, trials=10**6, num_stages=10**6)
 
 
+def test_config_rejects_override_with_per_gate_coins():
+    with pytest.raises(ValueError):
+        ChainConfig(params=MID_PARAMS, mode="per_gate", p_t_override=0.5)
+
+
 def test_effective_p_t_prefers_override():
     cfg = ChainConfig(params=MID_PARAMS, p_t_override=0.5)
     assert cfg.effective_p_t() == 0.5

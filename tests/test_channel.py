@@ -20,7 +20,7 @@ from lossguard.channel import (
     stage,
     transmit_segment,
 )
-from lossguard.simcore import PureState, fidelity, random_state
+from lossguard.simcore import PureState, fidelity, partial_trace, random_state
 
 PARAMS = TransponderParams(alpha=0.05, d=10.0, n=160, eta=1.0 - 1e-5)
 
@@ -34,6 +34,14 @@ def test_segment_model_survival():
     assert model.survival == pytest.approx(np.exp(-1.0), rel=1e-12)
     with pytest.raises(ValueError):
         SegmentModel(alpha=-0.1, d=10.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_segment_model_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError):
+        SegmentModel(alpha=bad, d=10.0)
+    with pytest.raises(ValueError):
+        SegmentModel(alpha=0.1, d=bad)
 
 
 def test_loss_event_accounting():
@@ -193,11 +201,29 @@ def test_stage_rejects_states_outside_the_code():
         stage(PureState.basis("0001"), model, PARAMS, np.random.default_rng(0))
 
 
+def test_stage_rejects_a_recovery_that_leaves_a_mixed_state():
+    # outside the code space the lost rail can stay entangled with the rest,
+    # and both recovery paths must refuse the mixed result
+    amps = PureState.basis("0000").amplitudes + PureState.basis("1011").amplitudes
+    block = PureState(4, amps / np.sqrt(2.0))
+    with pytest.raises(losscode.RecoveryError):
+        stage(
+            block,
+            SegmentModel(alpha=0.05, d=10.0),
+            PARAMS,
+            np.random.default_rng(0),
+            p_t_override=1.0,
+            force_event=LossEvent((False, True, True, True)),
+            check_code_space=False,
+        )
+    with pytest.raises(losscode.RecoveryError):
+        losscode.recovery_branches(partial_trace(block.to_density_matrix(), 0), 0)
+
+
 def test_stage_success_rate_matches_product_model():
     state = encoded_state(2)
     model = SegmentModel(alpha=0.05, d=10.0)
     rng = np.random.default_rng(77)
-    cache = {}
     trials = 20_000
     p_t = 0.85
     wins = 0
@@ -208,7 +234,6 @@ def test_stage_success_rate_matches_product_model():
             PARAMS,
             rng,
             p_t_override=p_t,
-            recovery_cache=cache,
             check_code_space=False,
         )
         if result.status in (STATUS_INTACT, STATUS_CORRECTED):
@@ -217,29 +242,27 @@ def test_stage_success_rate_matches_product_model():
     assert abs(wins / trials - target) < 3.0 * np.sqrt(target * (1 - target) / trials)
 
 
-def test_recovery_cache_closes_over_branch_states():
-    # corrected outputs re-enter the cache as inputs, so the reachable set
-    # of (state, rail) keys is finite and small
-    state = encoded_state(21)
+def test_long_walk_from_haar_input_stays_in_code_space():
+    # every stage loses one rail, so the block goes through 300 recoveries
+    # in a row; rounding noise must not push it out of the code space
+    logical = random_state(2, np.random.default_rng(21))
+    state = losscode.encode(logical)
     model = SegmentModel(alpha=0.3, d=10.0)
     rng = np.random.default_rng(5)
-    cache = {}
-    current = state
-    for _ in range(400):
+    for _ in range(300):
+        position = int(rng.integers(4))
         result = stage(
-            current,
+            state,
             model,
             PARAMS,
             rng,
             p_t_override=1.0,
-            recovery_cache=cache,
-            check_code_space=False,
+            force_event=LossEvent(tuple(i != position for i in range(4))),
         )
-        if result.state is not None:
-            current = result.state
-        else:
-            current = state
-    assert 0 < len(cache) <= 68
+        assert result.status == STATUS_CORRECTED
+        state = result.state
+        assert losscode.in_code_space(state)
+        assert fidelity(losscode.decode(state), logical) >= 1.0 - 1e-10
 
 
 def test_corrected_states_stay_in_the_code_space():

@@ -300,6 +300,22 @@ def test_chain_config_errors(tmp_path):
     assert run_cli("chain", "--config", str(tmp_path / "missing.json")) == 2
 
 
+@pytest.mark.parametrize("command", ["chain", "loop"])
+@pytest.mark.parametrize("name", ["alpha", "d", "nu"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_run_config_rejects_non_finite_values(tmp_path, command, name, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({name: bad, "trials": 10}))
+    assert run_cli(command, "--config", str(path)) == 2
+
+
+@pytest.mark.parametrize("command", ["chain", "loop"])
+def test_run_config_rejects_override_with_per_gate_coins(tmp_path, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"p_t_override": 0.5, "trials": 10}))
+    assert run_cli(command, "--config", str(path), "--mode", "per_gate") == 2
+
+
 def test_chain_runs_without_config(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert run_cli("chain", "--trials", "200", "--seed", "1", "--out", str(out)) == 0

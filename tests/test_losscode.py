@@ -87,6 +87,15 @@ def test_decode_rejects_states_outside_the_code():
     assert losscode.in_code_space(losscode.encode(PureState.basis("10")))
 
 
+def test_in_code_space_honours_tol():
+    # a small admixture of |0001> leaks about 1e-8 of the weight
+    amps = losscode.encode(PureState.basis("10")).amplitudes.copy()
+    amps[int("0001", 2)] += 1e-4
+    state = PureState(4, amps / np.linalg.norm(amps))
+    assert losscode.in_code_space(state, tol=1e-6)
+    assert not losscode.in_code_space(state)
+
+
 def test_encode_requires_two_qubits():
     with pytest.raises(ValueError):
         losscode.encode(PureState.basis("0"))
@@ -208,6 +217,34 @@ def test_recovery_round_trip_random_states(position):
             assert branch.measurement.outcome_probability == pytest.approx(
                 0.25, abs=1e-12
             )
+
+
+def test_branch_maps_match_density_matrix_reference():
+    # reference: the recovery circuit run step by step on the six-qubit
+    # density matrix, then the table's correction on the substituted rail
+    rng = np.random.default_rng(4242)
+    for _ in range(20):
+        encoded = losscode.encode(random_state(2, rng))
+        for position in range(4):
+            damaged = partial_trace(encoded.to_density_matrix(), position)
+            rho = embed(damaged, PureState.basis("0"), position)
+            rho = embed(embed(rho, PureState.basis("0"), 4), PureState.basis("0"), 5)
+            for gate in RECOVERY_GATES:
+                rho = apply_gate_dm(rho, gate)
+            maps = losscode.branch_maps(position)
+            for m, outcome in enumerate(OUTCOMES):
+                record, post = project(rho, ANCILLA_QUBITS, outcome)
+                reference = losscode.apply_pauli_word(
+                    pure_from_density(partial_trace(partial_trace(post, 5), 4)),
+                    EXPECTED_TABLE[outcome],
+                    position,
+                )
+                sigma = maps[m] @ damaged.matrix @ maps[m].conj().T
+                prob = float(np.real(np.trace(sigma)))
+                overlap = np.vdot(reference.amplitudes, sigma @ reference.amplitudes)
+                assert prob == pytest.approx(record.outcome_probability, abs=1e-12)
+                assert float(np.real(overlap)) / prob == pytest.approx(1.0, abs=1e-12)
+                assert fidelity(reference, encoded) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_recover_samples_branches_reproducibly():
