@@ -152,22 +152,26 @@ def p_t_aggregate(n: int) -> float:
     return gate_success(n) ** 8
 
 
-def p_t_full(params: TransponderParams) -> float:
-    """Transponder success from the full hardware budget.
-
-    38 one-qubit gates, 16 two-qubit gates, and 10 + 32n single-photon
-    guns each heralded by a detector.  Evaluated in the log domain so huge
-    ancilla counts cannot underflow.
-    """
+def gate_devices(params: TransponderParams) -> tuple[tuple[float, int], ...]:
+    """(success probability, count) of each device kind in one transponder:
+    38 one-qubit gates, 16 two-qubit gates, and 10 + 32n single-photon guns
+    each heralded by a detector."""
     ancilla_events = 10 + 32 * params.n
-    factors = (
+    return (
         (params.p_one, ONE_QUBIT_GATE_COUNT),
         (gate_success(params.n), TWO_QUBIT_GATE_COUNT),
         (params.p_spg, ancilla_events),
         (params.eta, ancilla_events),
     )
+
+
+def p_t_full(params: TransponderParams) -> float:
+    """Transponder success from the full hardware budget of `gate_devices`.
+
+    Evaluated in the log domain so huge ancilla counts cannot underflow.
+    """
     log_total = 0.0
-    for base, count in factors:
+    for base, count in gate_devices(params):
         if base == 0.0:
             return 0.0
         log_total += count * math.log(base)

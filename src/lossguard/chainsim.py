@@ -1,15 +1,17 @@
 """Monte Carlo driver for transponder chains and cyclic-memory loops.
 
-Trials are independent: trial t draws its generator from the run seed's
-spawn key (t + 1,), so results are reproducible bit for bit regardless of
-how trials are batched across workers.
+Trials run in fixed chunks of `_CHUNK`, and each chunk draws from one
+generator: chunk k uses the run seed's spawn key (k + 1,), while key (0,)
+draws the logical input.  Chunk boundaries never depend on the worker
+count, so results are reproducible bit for bit at any number of workers.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from lossguard.analytics import TransponderParams, p_f, p_t_full
 from lossguard.channel import (
     MODE_AGGREGATE,
     MODES,
+    RAILS,
     SUCCESS_STATUSES,
     SegmentModel,
 )
@@ -78,17 +81,7 @@ class ChainStats:
     alpha_prime_is_censored: bool
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "num_stages": self.num_stages,
-            "per_stage_success_rate": self.per_stage_success_rate,
-            "per_stage_success_stderr": self.per_stage_success_stderr,
-            "end_to_end_success": self.end_to_end_success,
-            "end_to_end_stderr": self.end_to_end_stderr,
-            "mean_fidelity_given_success": self.mean_fidelity_given_success,
-            "empirical_alpha_prime": self.empirical_alpha_prime,
-            "alpha_prime_is_censored": self.alpha_prime_is_censored,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -103,14 +96,7 @@ class LoopStats:
     implied_storage_time: float
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "mean_cycles": self.mean_cycles,
-            "mean_cycles_stderr": self.mean_cycles_stderr,
-            "censored_fraction": self.censored_fraction,
-            "cycle_cap": self.cycle_cap,
-            "implied_storage_time": self.implied_storage_time,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -124,37 +110,36 @@ class ModeComparison:
     agree_within_4_sigma: bool
 
     def to_dict(self) -> dict:
-        return {
-            "aggregate": self.aggregate.to_dict(),
-            "per_gate": self.per_gate.to_dict(),
-            "analytic_p_t": self.analytic_p_t,
-            "z_score": self.z_score,
-            "agree_within_4_sigma": self.agree_within_4_sigma,
-        }
-
-
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial + 1,)))
+        return asdict(self)
 
 
 def _input_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
 
 
+def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk + 1,)))
+
+
+def _aggregate_p_t(config: ChainConfig) -> float | None:
+    """The single gate coin's probability, or None for per-device coins."""
+    return config.effective_p_t() if config.mode == MODE_AGGREGATE else None
+
+
 def _chain_chunk(
     config: ChainConfig,
     encoded: PureState,
     logical: PureState,
-    start: int,
-    stop: int,
+    rng: np.random.Generator,
+    trials: int,
 ) -> tuple[int, int, float]:
-    """Totals over trials [start, stop): first-stage successes, end-to-end
-    successes, summed decoded fidelity of the survivors."""
+    """Totals over one chunk: first-stage successes, end-to-end successes,
+    summed decoded fidelity of the survivors."""
     model = SegmentModel(config.params.alpha, config.params.d)
+    p_t = _aggregate_p_t(config)
     first_stage = 0
     survivors = []
-    for trial in range(start, stop):
-        rng = _trial_rng(config.seed, trial)
+    for _ in range(trials):
         state = encoded
         for stage_index in range(config.num_stages):
             result = channel.stage(
@@ -163,7 +148,7 @@ def _chain_chunk(
                 config.params,
                 rng,
                 mode=config.mode,
-                p_t_override=config.p_t_override,
+                p_t_override=p_t,
                 check_code_space=False,
             )
             if result.status not in SUCCESS_STATUSES:
@@ -180,10 +165,19 @@ def _chain_chunk(
     return first_stage, len(survivors), float(np.sum(fidelities))
 
 
-def _run_chunks(chunk_fn, args: tuple, trials: int, workers: int) -> list:
-    """chunk_fn(*args, lo, hi) over the fixed trial chunks, pooled when workers > 1."""
-    chunks = [args + (lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
-    if workers > 1 and len(chunks) > 1:
+def _pool_size(requested: int, chunks: int, cpus: int | None) -> int:
+    """Worker processes worth starting: no more than the CPUs or the chunks."""
+    return max(1, min(requested, chunks, cpus or 1))
+
+
+def _run_chunks(chunk_fn, args: tuple, config: ChainConfig, workers: int) -> list:
+    """chunk_fn(*args, rng, trials) over the fixed trial chunks, pooled when workers > 1."""
+    chunks = [
+        args + (_chunk_rng(config.seed, k), min(_CHUNK, config.trials - lo))
+        for k, lo in enumerate(range(0, config.trials, _CHUNK))
+    ]
+    workers = _pool_size(workers, len(chunks), os.cpu_count())
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(chunk_fn, *zip(*chunks)))
     return [chunk_fn(*chunk) for chunk in chunks]
@@ -206,7 +200,7 @@ def run_chain(
         raise ValueError("logical input must be a two-qubit state")
     encoded = losscode.encode(logical)
 
-    parts = _run_chunks(_chain_chunk, (config, encoded, logical), config.trials, workers)
+    parts = _run_chunks(_chain_chunk, (config, encoded, logical), config, workers)
 
     first_stage = sum(p[0] for p in parts)
     survived = sum(p[1] for p in parts)
@@ -236,34 +230,32 @@ def run_chain(
     )
 
 
-def _loop_chunk(config: ChainConfig, start: int, stop: int) -> tuple[int, float, int]:
-    """Totals over trials [start, stop): cycles, squared cycles, censored count.
+def _loop_chunk(config: ChainConfig, rng: np.random.Generator, trials: int) -> tuple[int, int, int]:
+    """Totals over one chunk: cycles, squared cycles, censored count.
 
     Only the event layer runs here: a corrected cycle returns the block to
     its exact input state (the recovery round-trip tests establish that),
-    so cycle counts do not depend on the quantum state.
+    so cycle counts do not depend on the quantum state.  Each cycle draws
+    the rails of every live trial, then gate coins for those with at most
+    one loss.  Trials are exchangeable, so only the live count is kept:
+    the `live` trials that finish cycle k add 1 to their cycle count and
+    2k - 1 to its square.
     """
-    model = SegmentModel(config.params.alpha, config.params.d)
-    total = 0
-    total_sq = 0.0
-    censored = 0
-    for trial in range(start, stop):
-        rng = _trial_rng(config.seed, trial)
-        cycles = 0
-        while cycles < config.max_cycles:
-            event = channel.transmit_segment(model, rng)
-            if event.num_lost >= 2:
-                break
-            if not channel.gates_succeed(
-                config.params, rng, config.mode, config.p_t_override
-            ):
-                break
-            cycles += 1
-        if cycles >= config.max_cycles:
-            censored += 1
-        total += cycles
-        total_sq += float(cycles) ** 2
-    return total, total_sq, censored
+    survival = SegmentModel(config.params.alpha, config.params.d).survival
+    p_t = _aggregate_p_t(config)
+    live, total, total_sq = trials, 0, 0
+    for cycle in range(1, config.max_cycles + 1):
+        if not live:
+            break
+        kept = (rng.random((live, RAILS)) < survival).sum(axis=1) >= RAILS - 1
+        live = int(kept.sum())
+        if p_t is None:
+            live = int(channel.per_gate_coins(config.params, rng, live).sum())
+        else:
+            live = int((rng.random(live) < p_t).sum())
+        total += live
+        total_sq += (2 * cycle - 1) * live
+    return total, total_sq, live
 
 
 def run_loop(config: ChainConfig, workers: int = 1) -> LoopStats:
@@ -272,10 +264,10 @@ def run_loop(config: ChainConfig, workers: int = 1) -> LoopStats:
     Surviving cycle counts are geometric; trials still alive at max_cycles
     are censored at the cap.
     """
-    parts = _run_chunks(_loop_chunk, (config,), config.trials, workers)
+    parts = _run_chunks(_loop_chunk, (config,), config, workers)
     trials = config.trials
     total = sum(p[0] for p in parts)
-    total_sq = math.fsum(p[1] for p in parts)
+    total_sq = sum(p[1] for p in parts)
     censored = sum(p[2] for p in parts)
     mean = total / trials
     if trials > 1:

@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
-from lossguard import analytics, losscode
-from lossguard.analytics import TransponderParams, gate_success, p_t_full
+from lossguard import losscode
+from lossguard.analytics import TransponderParams, gate_devices, p_t_full
 from lossguard.simcore import PureState
 
 MODE_AGGREGATE = "aggregate_pt"
@@ -33,6 +33,7 @@ STATUSES = (STATUS_INTACT, STATUS_CORRECTED, STATUS_FAILED_MULTI, STATUS_FAILED_
 SUCCESS_STATUSES = (STATUS_INTACT, STATUS_CORRECTED)
 
 RAILS = 4
+_COIN_BLOCK = 1 << 15  # per-device uniforms drawn at once: 256 KiB of float64
 
 # _SPLITS[k][i, b]: index of the amplitude with surviving rails in state i and rail k = b
 _RAIL_AXES = np.arange(1 << RAILS).reshape((2,) * RAILS)
@@ -52,7 +53,7 @@ class SegmentModel:
         if self.alpha < 0 or self.d < 0:
             raise ValueError("alpha and d must be nonnegative")
 
-    @property
+    @cached_property
     def survival(self) -> float:
         return float(np.exp(-self.alpha * self.d))
 
@@ -100,13 +101,28 @@ class StageResult:
 
 def transmit_segment(model: SegmentModel, rng: np.random.Generator) -> LossEvent:
     """Independent Bernoulli survival of the four rail photons."""
-    draws = rng.random(RAILS)
-    return LossEvent(tuple(bool(u < model.survival) for u in draws))
+    return LossEvent(tuple((rng.random(RAILS) < model.survival).tolist()))
 
 
-@lru_cache(maxsize=64)
-def _aggregate_pt(params: TransponderParams) -> float:
-    return p_t_full(params)
+def per_gate_coins(params: TransponderParams, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """One coin per device for each of `rows` stages: True where all fired.
+
+    A row's uniforms are consecutive draws in `gate_devices` order; rows are
+    drawn into one reused buffer of at most `_COIN_BLOCK` uniforms, which
+    bounds memory without changing which draw lands on which device.  A
+    device kind all fired when its largest uniform is below its probability.
+    """
+    devices = gate_devices(params)
+    counts = [count for _, count in devices]
+    starts = np.cumsum([0] + counts[:-1])
+    probs = np.array([p for p, _ in devices])
+    step = max(1, _COIN_BLOCK // sum(counts))
+    buffer = np.empty((min(step, rows), sum(counts)))
+    fired = np.empty(rows, dtype=bool)
+    for lo in range(0, rows, step):
+        draws = rng.random(out=buffer[: min(step, rows - lo)])
+        fired[lo : lo + step] = (np.maximum.reduceat(draws, starts, axis=1) < probs).all(axis=1)
+    return fired
 
 
 def gates_succeed(
@@ -132,13 +148,8 @@ def gates_succeed(
             raise ValueError("p_t_override must lie in [0, 1]")
         return bool(rng.random() < p_t_override)
     if mode == MODE_AGGREGATE:
-        return bool(rng.random() < _aggregate_pt(params))
-    ancilla_events = 10 + 32 * params.n
-    ok = bool(np.all(rng.random(analytics.ONE_QUBIT_GATE_COUNT) < params.p_one))
-    ok &= bool(np.all(rng.random(analytics.TWO_QUBIT_GATE_COUNT) < gate_success(params.n)))
-    ok &= bool(np.all(rng.random(ancilla_events) < params.p_spg))
-    ok &= bool(np.all(rng.random(ancilla_events) < params.eta))
-    return ok
+        return bool(rng.random() < p_t_full(params))
+    return bool(per_gate_coins(params, rng, 1)[0])
 
 
 def stage(
@@ -187,4 +198,4 @@ def stage(
     if mixed > losscode.RECOVERY_TOL:
         raise losscode.RecoveryError(f"post-measurement state not pure: mixed weight {mixed:.3g}")
     kept, weight = (first, w0) if w0 >= w1 else (second, w1)
-    return StageResult(STATUS_CORRECTED, PureState(RAILS, kept / np.sqrt(weight)), event)
+    return StageResult(STATUS_CORRECTED, PureState(RAILS, kept / math.sqrt(weight)), event)

@@ -56,7 +56,7 @@ class PureState:
             raise ValueError(
                 f"expected {1 << self.num_qubits} amplitudes, got {amps.shape}"
             )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        norm_sq = float(np.vdot(amps, amps).real)
         if abs(norm_sq - 1.0) > ATOL:
             raise ValueError(f"state not normalized: sum |a|^2 = {norm_sq!r}")
         amps.setflags(write=False)
@@ -219,18 +219,6 @@ def _check_subset(qubits: tuple[int, ...], num_qubits: int) -> tuple[int, ...]:
     return qubits
 
 
-def branch_probabilities(rho: DensityMatrix, qubits: tuple[int, ...]) -> np.ndarray:
-    """Born probabilities for all 2^k outcomes on the listed qubits, first qubit
-    listed = most significant outcome bit."""
-    qubits = _check_subset(qubits, rho.num_qubits)
-    n = rho.num_qubits
-    diag = np.real(np.diagonal(rho.matrix))
-    index = np.zeros(1 << n, dtype=np.int64)
-    for q in qubits:
-        index = (index << 1) | ((np.arange(1 << n) >> (n - 1 - q)) & 1)
-    return np.bincount(index, weights=diag, minlength=1 << len(qubits))
-
-
 def _as_bits(outcome, k: int) -> tuple[int, ...]:
     if isinstance(outcome, str):
         if len(outcome) != k or set(outcome) - {"0", "1"}:
@@ -260,17 +248,6 @@ def project(
         )
     record = MeasurementRecord(qubits, bits, prob)
     return record, DensityMatrix(n, projected / prob)
-
-
-def measure(
-    rho: DensityMatrix, qubits: tuple[int, ...], rng: np.random.Generator
-) -> tuple[MeasurementRecord, DensityMatrix]:
-    """Sample a computational-basis measurement of the listed qubits."""
-    qubits = _check_subset(qubits, rho.num_qubits)
-    probs = branch_probabilities(rho, qubits)
-    choice = int(rng.choice(len(probs), p=probs / probs.sum()))
-    bits = tuple((choice >> (len(qubits) - 1 - i)) & 1 for i in range(len(qubits)))
-    return project(rho, qubits, bits)
 
 
 def fidelity(a: PureState, b: PureState) -> float:

@@ -47,12 +47,21 @@ def test_effective_p_t_prefers_override():
     assert cfg.effective_p_t() == p_t_full(MID_PARAMS)
 
 
-def test_trial_rngs_decorrelate_by_seed_and_trial():
-    a = chainsim._trial_rng(1, 0).random()
-    b = chainsim._trial_rng(1, 1).random()
-    c = chainsim._trial_rng(2, 0).random()
-    assert a != b and a != c
-    assert chainsim._trial_rng(1, 0).random() == a
+def test_chunk_rngs_decorrelate_by_seed_and_chunk():
+    a = chainsim._chunk_rng(1, 0).random()
+    b = chainsim._chunk_rng(1, 1).random()
+    c = chainsim._chunk_rng(2, 0).random()
+    logical = chainsim._input_rng(1).random()
+    assert len({a, b, c, logical}) == 4
+    assert chainsim._chunk_rng(1, 0).random() == a
+
+
+def test_pool_size_is_capped_by_cpus_and_chunks():
+    assert chainsim._pool_size(10**6, 3, 64) == 3
+    assert chainsim._pool_size(10**6, 10**6, 2) == 2
+    assert chainsim._pool_size(4, 10**6, 64) == 4
+    assert chainsim._pool_size(0, 10**6, 64) == 1
+    assert chainsim._pool_size(10**6, 10**6, None) == 1
 
 
 def test_run_chain_is_deterministic():
@@ -62,6 +71,11 @@ def test_run_chain_is_deterministic():
 
 def test_run_chain_worker_count_does_not_change_results():
     cfg = ChainConfig(params=MID_PARAMS, trials=11_000, seed=5)
+    assert run_chain(cfg, workers=1) == run_chain(cfg, workers=3)
+
+
+def test_run_chain_per_gate_worker_count_does_not_change_results():
+    cfg = ChainConfig(params=MID_PARAMS, trials=11_000, seed=6, mode="per_gate")
     assert run_chain(cfg, workers=1) == run_chain(cfg, workers=3)
 
 
@@ -148,6 +162,10 @@ def test_run_loop_mean_matches_geometric_law():
     q = analytic_stage_success(cfg)
     assert chainsim.analytic_loop_mean_cycles(cfg) == pytest.approx(q / (1 - q))
     assert abs(stats.mean_cycles - q / (1 - q)) < 3.0 * stats.mean_cycles_stderr
+    # surviving cycles are geometric, with variance q / (1 - q)^2
+    assert stats.mean_cycles_stderr == pytest.approx(
+        math.sqrt(q / (1 - q) ** 2 / cfg.trials), rel=0.1
+    )
     assert stats.censored_fraction == 0.0
     assert stats.implied_storage_time == pytest.approx(
         stats.mean_cycles * 10.0 / 2.0e5, rel=1e-12
@@ -174,6 +192,21 @@ def test_run_loop_is_deterministic_across_workers():
         max_cycles=1_000,
     )
     assert run_loop(cfg, workers=1) == run_loop(cfg, workers=3)
+
+
+def test_run_loop_per_gate_is_deterministic_across_workers():
+    # 11,000 trials make three chunks; at n = 100 each live trial's coins
+    # span 6,474 devices, so every cycle draws them in many blocks
+    cfg = ChainConfig(
+        params=TransponderParams(alpha=0.05, d=1.0, n=100, eta=1.0 - 1e-4),
+        trials=11_000,
+        seed=10,
+        mode="per_gate",
+        max_cycles=1_000,
+    )
+    stats = run_loop(cfg, workers=1)
+    assert stats == run_loop(cfg, workers=3)
+    assert stats.mean_cycles > 0.5
 
 
 def test_compare_modes_agrees_at_moderate_n():

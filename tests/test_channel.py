@@ -5,7 +5,7 @@ import pytest
 from scipy import stats as sps
 
 from lossguard import channel, losscode
-from lossguard.analytics import TransponderParams, p_f, p_t_full, survival_prob
+from lossguard.analytics import TransponderParams, gate_devices, p_f, p_t_full, survival_prob
 from lossguard.channel import (
     MODE_AGGREGATE,
     MODE_PER_GATE,
@@ -94,6 +94,36 @@ def test_gates_succeed_per_gate_rate():
     hits = sum(gates_succeed(params, rng, MODE_PER_GATE) for _ in range(draws))
     target = p_t_full(params)
     assert abs(hits / draws - target) < 4.0 * np.sqrt(target * (1 - target) / draws)
+
+
+def reference_coins(params, rng):
+    """Per-device coins one device kind at a time, the plain way."""
+    return all([bool(np.all(rng.random(count) < p)) for p, count in gate_devices(params)])
+
+
+class DrawLog:
+    """A generator that records how many uniforms each call asks for."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def random(self, size=None, out=None):
+        self.sizes.append(out.size if out is not None else int(np.prod(size or 1)))
+        return self.rng.random(size, out=out)
+
+
+def test_per_gate_coins_match_row_by_row_reference_in_bounded_blocks():
+    params = TransponderParams(alpha=0.0, d=0.0, n=20, eta=0.9999)
+    step = channel._COIN_BLOCK // sum(count for _, count in gate_devices(params))
+    rows = 2 * step + 2  # two full blocks and a partial one
+    blocked = DrawLog(4)
+    fired = channel.per_gate_coins(params, blocked, rows)
+    rng = np.random.default_rng(4)
+    assert fired.tolist() == [reference_coins(params, rng) for _ in range(rows)]
+    assert blocked.rng.random() == rng.random()
+    assert 0 < fired.sum() < rows
+    assert len(blocked.sizes) == 3 and max(blocked.sizes) <= channel._COIN_BLOCK
 
 
 def test_gates_succeed_override_rules():

@@ -13,10 +13,8 @@ from lossguard.simcore import (
     PureState,
     apply_gate,
     apply_gate_dm,
-    branch_probabilities,
     embed,
     fidelity,
-    measure,
     partial_trace,
     project,
     pure_from_density,
@@ -173,16 +171,6 @@ def test_embed_position_semantics():
     assert np.allclose(at_back.matrix, expected.matrix, atol=1e-12)
 
 
-def test_branch_probabilities_bell_pair():
-    bell = apply_gate(
-        apply_gate(PureState.basis("00"), Gate("H", (0,))), Gate("CNOT", (0, 1))
-    ).to_density_matrix()
-    probs = branch_probabilities(bell, (0, 1))
-    assert np.allclose(probs, [0.5, 0.0, 0.0, 0.5], atol=1e-12)
-    marginal = branch_probabilities(bell, (1,))
-    assert np.allclose(marginal, [0.5, 0.5], atol=1e-12)
-
-
 def test_project_renormalizes_and_records():
     bell = apply_gate(
         apply_gate(PureState.basis("00"), Gate("H", (0,))), Gate("CNOT", (0, 1))
@@ -201,14 +189,6 @@ def test_project_impossible_branch_raises():
     ).to_density_matrix()
     with pytest.raises(ImpossibleBranchError):
         project(bell, (0, 1), "01")
-
-
-def test_measure_is_seed_reproducible():
-    rho = random_state(3, np.random.default_rng(8)).to_density_matrix()
-    rec_a, _ = measure(rho, (0, 2), np.random.default_rng(123))
-    rec_b, _ = measure(rho, (0, 2), np.random.default_rng(123))
-    assert rec_a.outcome_bits == rec_b.outcome_bits
-    assert rec_a.outcome_probability == rec_b.outcome_probability
 
 
 def test_measurement_record_validation():
