@@ -8,7 +8,7 @@ alpha * d (fiber attenuation rate times stage separation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,8 +50,9 @@ class TransponderParams:
             raise ValueError("alpha and d must be nonnegative")
         if self.nu <= 0:
             raise ValueError("nu must be positive")
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        # above 2**53 the gate success n / (n + 1) rounds to 1; far above, floats overflow
+        if not 1 <= self.n < 2**53 or int(self.n) != self.n:
+            raise ValueError(f"n must be an integer in [1, 2**53), got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
         for name in ("eta", "p_one", "p_spg"):
             value = getattr(self, name)
@@ -76,15 +77,7 @@ class ResourceCount:
     pd: int
 
     def as_dict(self) -> dict:
-        return {
-            "reduction_level": self.reduction_level,
-            "spg": self.spg,
-            "qnd": self.qnd,
-            "cnot": self.cnot,
-            "cz": self.cz,
-            "one_qubit": self.one_qubit,
-            "pd": self.pd,
-        }
+        return asdict(self)
 
 
 def _scalarize(value: np.ndarray):

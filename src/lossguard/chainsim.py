@@ -9,6 +9,7 @@ count, so results are reproducible bit for bit at any number of workers.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -43,6 +44,14 @@ class ChainConfig:
     max_stage_evals: int = 50_000_000
 
     def __post_init__(self) -> None:
+        for name in ("num_stages", "trials", "seed", "max_cycles"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.num_stages < 1 or self.trials < 1:
             raise ValueError("num_stages and trials must be >= 1")
         if self.mode not in MODES:
@@ -64,6 +73,11 @@ class ChainConfig:
         if self.p_t_override is not None:
             return self.p_t_override
         return p_t_full(self.params)
+
+    def stage_success(self) -> float:
+        """Closed-form per-stage (or per-cycle) success p_f * p_t."""
+        p = analytics.survival_prob(self.params.alpha, self.params.d)
+        return p_f(p) * self.effective_p_t()
 
 
 @dataclass(frozen=True)
@@ -287,8 +301,7 @@ def run_loop(config: ChainConfig, workers: int = 1) -> LoopStats:
 
 def analytic_loop_mean_cycles(config: ChainConfig) -> float:
     """Expected surviving cycles q / (1 - q) at per-cycle success q."""
-    q = p_f(analytics.survival_prob(config.params.alpha, config.params.d))
-    q *= config.effective_p_t()
+    q = config.stage_success()
     if q >= 1.0:
         return math.inf
     return q / (1.0 - q)

@@ -18,7 +18,7 @@ from itertools import accumulate
 import numpy as np
 
 from lossguard import losscode
-from lossguard.analytics import TransponderParams, gate_devices, p_t_full
+from lossguard.analytics import TransponderParams, gate_devices, p_t_full, survival_prob
 from lossguard.simcore import PureState
 
 MODE_AGGREGATE = "aggregate_pt"
@@ -34,10 +34,6 @@ SUCCESS_STATUSES = (STATUS_INTACT, STATUS_CORRECTED)
 
 RAILS = 4
 _COIN_BLOCK = 1 << 15  # per-device uniforms drawn at once: 256 KiB of float64
-
-# _SPLITS[k][i, b]: index of the amplitude with surviving rails in state i and rail k = b
-_RAIL_AXES = np.arange(1 << RAILS).reshape((2,) * RAILS)
-_SPLITS = [np.moveaxis(_RAIL_AXES, k, -1).reshape(-1, 2) for k in range(RAILS)]
 
 
 @dataclass(frozen=True)
@@ -55,7 +51,7 @@ class SegmentModel:
 
     @cached_property
     def survival(self) -> float:
-        return float(np.exp(-self.alpha * self.d))
+        return survival_prob(self.alpha, self.d)
 
 
 @dataclass(frozen=True)
@@ -183,7 +179,7 @@ def stage(
     position = event.lost_position()
     # The two values of the lost rail split the block into two surviving-rail
     # vectors; one product sends both through all four readout maps.
-    images = losscode.branch_maps(position) @ encoded.amplitudes[_SPLITS[position]]
+    images = losscode.branch_maps(position) @ encoded.amplitudes[losscode.SPLITS[position]]
     weights = (images * images.conj()).real.sum(axis=1).tolist()  # [readout][lost-rail value]
     probs = [w0 + w1 for w0, w1 in weights]
     total = sum(probs)

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields as dataclass_fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +37,13 @@ DEFAULT_PARAMS = TransponderParams(
 SWEEP_PT_ETAS = (1.0, 1.0 - 1e-6, 1.0 - 1e-5, 1.0 - 10.0**-4.5)
 PT_REFERENCE = 0.75
 
-_PARAM_FIELDS = tuple(f.name for f in dataclass_fields(TransponderParams))
+_PARAM_FIELDS = tuple(f.name for f in fields(TransponderParams))
 _RUN_FIELDS = ("trials", "num_stages", "seed", "mode", "p_t_override", "max_cycles")
+# command-line flag -> the run field it sets; flags win over the config file
+_FLAG_FIELDS = {
+    "trials": "trials", "stages": "num_stages", "seed": "seed",
+    "mode": "mode", "max_cycles": "max_cycles",
+}
 
 
 class CliError(Exception):
@@ -123,30 +128,15 @@ def _load_config(path: str | None) -> dict:
 
 
 def _build_run_config(args, raw: dict) -> chainsim.ChainConfig:
-    param_kwargs = {name: getattr(DEFAULT_PARAMS, name) for name in _PARAM_FIELDS}
-    for name in _PARAM_FIELDS:
-        if name in raw:
-            param_kwargs[name] = raw[name]
-    run_kwargs = {name: raw[name] for name in _RUN_FIELDS if name in raw}
-    # command-line flags win over the config file
-    if getattr(args, "trials", None) is not None:
-        run_kwargs["trials"] = args.trials
-    if getattr(args, "stages", None) is not None:
-        run_kwargs["num_stages"] = args.stages
-    if getattr(args, "mode", None) is not None:
-        run_kwargs["mode"] = args.mode
-    if getattr(args, "max_cycles", None) is not None:
-        run_kwargs["max_cycles"] = args.max_cycles
-    run_kwargs["seed"] = args.seed if args.seed is not None else run_kwargs.get("seed", 42)
+    run_kwargs = {"seed": 42} | {name: raw[name] for name in _RUN_FIELDS if name in raw}
+    for flag, name in _FLAG_FIELDS.items():
+        if getattr(args, flag, None) is not None:
+            run_kwargs[name] = getattr(args, flag)
     try:
-        params = TransponderParams(**param_kwargs)
+        params = replace(DEFAULT_PARAMS, **{k: raw[k] for k in _PARAM_FIELDS if k in raw})
         return chainsim.ChainConfig(params=params, **run_kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"bad configuration: {exc}")
-
-
-def _params_dict(params: TransponderParams) -> dict:
-    return {name: getattr(params, name) for name in _PARAM_FIELDS}
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +207,8 @@ def _check_recovery(states: int, seed: int) -> str | None:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise CliError("--seed must be >= 0")
     if (args.qubit_loss is None) != (args.outcome is None):
         raise CliError("--qubit-loss and --outcome must be given together")
     if args.qubit_loss is not None:
@@ -280,12 +272,10 @@ def cmd_sweep_r(args) -> int:
     pts = _grid(args.pt_lo, args.pt_hi, args.pt_steps, log=False, name="p_t range")
     if args.pt_lo <= 0 or args.pt_hi > 1:
         raise CliError("p_t range must lie within (0, 1]")
-    rows = [
-        (float(x), float(pt), float(analytics.r(float(x), float(pt))))
-        for x in xs
-        for pt in pts
-    ]
-    contour = [(float(x), float(analytics.break_even_pt(float(x)))) for x in xs]
+    x_list, pt_list = xs.tolist(), pts.tolist()
+    grid = analytics.r(xs[:, None], pts[None, :]).tolist()
+    rows = [(x, pt, rv) for x, r_row in zip(x_list, grid) for pt, rv in zip(pt_list, r_row)]
+    contour = list(zip(x_list, analytics.break_even_pt(xs).tolist()))
     x_star, pt_star = analytics.min_break_even_pt()
     minimum = {"x": x_star, "p_t": pt_star}
 
@@ -370,12 +360,11 @@ def _print_threshold(report: dict) -> None:
 def _analytic_chain(config: chainsim.ChainConfig) -> dict:
     params = config.params
     p = analytics.survival_prob(params.alpha, params.d)
-    pf = analytics.p_f(p)
     pt = config.effective_p_t()
-    per_stage = pf * pt
+    per_stage = config.stage_success()
     out = {
         "survival_prob": p,
-        "p_f": pf,
+        "p_f": analytics.p_f(p),
         "p_t": pt,
         "per_stage_success": per_stage,
         "end_to_end_success": per_stage**config.num_stages,
@@ -388,57 +377,46 @@ def _analytic_chain(config: chainsim.ChainConfig) -> dict:
     return out
 
 
+def _analytic_loop(config: chainsim.ChainConfig) -> dict:
+    params = config.params
+    mean = chainsim.analytic_loop_mean_cycles(config)
+    out = {
+        "per_cycle_success": config.stage_success(),
+        "mean_cycles": mean,
+        "storage_time": mean * params.d / params.nu if math.isfinite(mean) else math.inf,
+    }
+    if params.alpha > 0:
+        out["bare_half_decay_time"] = analytics.storage_time(params.alpha, params.nu)
+    return out
+
+
+def _run_report(args, command: str, run, analytic) -> int:
+    """Run the configured simulation and write its report with the closed forms beside it."""
+    config = _build_run_config(args, _load_config(args.config))
+    report = {
+        "command": command,
+        "mode": config.mode,
+        "seed": config.seed,
+        "params": asdict(config.params),
+        "p_t_override": config.p_t_override,
+        "empirical": run(config, workers=_workers()).to_dict(),
+        "analytic": analytic(config),
+    }
+    _emit(_dumps(report), args.out)
+    if args.out is not None:
+        print(f"wrote report to {args.out}")
+    return 0
+
+
 def cmd_chain(args) -> int:
     if args.threshold:
         _print_threshold(_threshold_report())
         return 0
-    config = _build_run_config(args, _load_config(args.config))
-    stats = chainsim.run_chain(config, workers=_workers())
-    report = {
-        "command": "chain",
-        "mode": config.mode,
-        "seed": config.seed,
-        "params": _params_dict(config.params),
-        "p_t_override": config.p_t_override,
-        "empirical": stats.to_dict(),
-        "analytic": _analytic_chain(config),
-    }
-    _emit(_dumps(report), args.out)
-    if args.out is not None:
-        print(f"wrote report to {args.out}")
-    return 0
+    return _run_report(args, "chain", chainsim.run_chain, _analytic_chain)
 
 
 def cmd_loop(args) -> int:
-    config = _build_run_config(args, _load_config(args.config))
-    stats = chainsim.run_loop(config, workers=_workers())
-    params = config.params
-    analytic_mean = chainsim.analytic_loop_mean_cycles(config)
-    analytic = {
-        "per_cycle_success": analytics.p_f(
-            analytics.survival_prob(params.alpha, params.d)
-        )
-        * config.effective_p_t(),
-        "mean_cycles": analytic_mean,
-        "storage_time": analytic_mean * params.d / params.nu
-        if math.isfinite(analytic_mean)
-        else math.inf,
-    }
-    if params.alpha > 0:
-        analytic["bare_half_decay_time"] = analytics.storage_time(params.alpha, params.nu)
-    report = {
-        "command": "loop",
-        "mode": config.mode,
-        "seed": config.seed,
-        "params": _params_dict(config.params),
-        "p_t_override": config.p_t_override,
-        "empirical": stats.to_dict(),
-        "analytic": analytic,
-    }
-    _emit(_dumps(report), args.out)
-    if args.out is not None:
-        print(f"wrote report to {args.out}")
-    return 0
+    return _run_report(args, "loop", chainsim.run_loop, _analytic_loop)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from lossguard.simcore import (
     PureState,
     apply_gate,
     fidelity,
-    partial_trace,
     pure_from_density,
     random_state,
     tensor,
@@ -46,6 +45,10 @@ _SURVIVOR_KETS = [format(i, f"0{DATA_QUBITS - 1}b") for i in range(1 << (DATA_QU
 
 CODE_SPACE_TOL = 1e-10
 RECOVERY_TOL = 1e-10
+
+# SPLITS[k][i, b]: index of the amplitude with surviving rails in state i and rail k = b
+_RAIL_AXES = np.arange(1 << DATA_QUBITS).reshape((2,) * DATA_QUBITS)
+SPLITS = [np.moveaxis(_RAIL_AXES, k, -1).reshape(-1, 2) for k in range(DATA_QUBITS)]
 
 # Truth table of the code: logical bits -> the pair of basis kets whose
 # equal-weight superposition is the codeword.
@@ -325,19 +328,17 @@ def recover_forced(
     return _recover(damaged, loss_position, (outcome,), expected)[0]
 
 
-def _restores(
-    word: str, loss_position: int, a: np.ndarray, outcome: str, rng: np.random.Generator
-) -> bool:
+def _restores(word: str, loss_position: int, a: np.ndarray, rng: np.random.Generator) -> bool:
     # The four codewords first, then three random superpositions, drawn only
-    # while the word still passes.  Per-state check only; each state may come
-    # back with its own phase because eigenvector extraction fixes phases
-    # arbitrarily.
+    # while the word still passes.  Tracing out the lost rail mixes the two
+    # corrected images of its values; that block, pure or mixed, is the
+    # input up to a phase only when all of its weight lies along the input.
+    corrected = _pauli_matrix(word, loss_position) @ a
     superpositions = (encode(random_state(2, rng)) for _ in range(3))
     for encoded in itertools.chain((c.state for c in codewords()), superpositions):
-        damaged = partial_trace(encoded.to_density_matrix(), loss_position)
-        _, state = _apply_map(a, damaged, outcome)
-        corrected = apply_pauli_word(state, word, loss_position)
-        if abs(fidelity(corrected, encoded) - 1.0) > RECOVERY_TOL:
+        images = corrected @ encoded.amplitudes[SPLITS[loss_position]]
+        along = np.sum(np.abs(encoded.amplitudes.conj() @ images) ** 2)
+        if not abs(along / np.vdot(images, images).real - 1.0) <= RECOVERY_TOL:
             return False
     return True
 
@@ -348,15 +349,15 @@ def derive_correction_table(loss_position: int) -> CorrectionTable:
 
     For each ancilla outcome, search {I, X, Z, XZ} on the substituted rail
     for the word that restores all four codewords and random superpositions
-    through the uncorrected circuit map.  Superpositions travel through the
-    mixed damaged state, which keeps all relative phases, so they rule out
+    through the uncorrected circuit map.  Superpositions travel through both
+    values of the lost rail, which keep all relative phases, so they rule out
     corrections that only fix the codewords up to inconsistent signs.
     """
     loss_position = _check_position(loss_position)
     rng = np.random.default_rng(20240 + loss_position)
     entries: dict[str, str] = {}
     for outcome, a in zip(OUTCOMES, _circuit_maps(loss_position)):
-        candidates = [w for w in PAULI_WORDS if _restores(w, loss_position, a, outcome, rng)]
+        candidates = [w for w in PAULI_WORDS if _restores(w, loss_position, a, rng)]
         if len(candidates) != 1:
             raise TableDerivationError(
                 f"position {loss_position}, outcome {outcome}: "

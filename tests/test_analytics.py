@@ -286,6 +286,10 @@ def test_params_validation():
         TransponderParams(alpha=0.1, d=1.0, n=1, eta=1.2)
     with pytest.raises(ValueError):
         TransponderParams(alpha=0.1, d=1.0, n=1, nu=0.0)
+    for bad_n in (1.5, float("inf"), float("nan"), 2**53, 10**400):
+        with pytest.raises(ValueError):
+            TransponderParams(alpha=0.1, d=1.0, n=bad_n)
+    assert TransponderParams(alpha=0.1, d=1.0, n=16.0).n == 16
     params = TransponderParams(alpha=0.05, d=12.0, n=8)
     assert params.x == pytest.approx(0.6, rel=1e-15)
 

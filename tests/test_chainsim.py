@@ -33,6 +33,12 @@ def test_config_validation():
         ChainConfig(params=MID_PARAMS, max_cycles=0)
     with pytest.raises(ValueError):
         ChainConfig(params=MID_PARAMS, trials=10**6, num_stages=10**6)
+    for name in ("trials", "num_stages", "seed", "max_cycles"):
+        with pytest.raises(ValueError, match=name):
+            ChainConfig(params=MID_PARAMS, **{name: 2.0})
+    with pytest.raises(ValueError, match="seed"):
+        ChainConfig(params=MID_PARAMS, seed=-1)
+    assert type(ChainConfig(params=MID_PARAMS, seed=np.int64(3)).seed) is int
 
 
 def test_config_rejects_override_with_per_gate_coins():
@@ -45,6 +51,11 @@ def test_effective_p_t_prefers_override():
     assert cfg.effective_p_t() == 0.5
     cfg = ChainConfig(params=MID_PARAMS)
     assert cfg.effective_p_t() == p_t_full(MID_PARAMS)
+
+
+def test_stage_success_is_the_product_model():
+    for cfg in (ChainConfig(params=MID_PARAMS), ChainConfig(params=MID_PARAMS, p_t_override=0.5)):
+        assert cfg.stage_success() == analytic_stage_success(cfg)
 
 
 def test_chunk_rngs_decorrelate_by_seed_and_chunk():

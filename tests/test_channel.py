@@ -32,6 +32,8 @@ def encoded_state(seed=3):
 def test_segment_model_survival():
     model = SegmentModel(alpha=0.1, d=10.0)
     assert model.survival == pytest.approx(np.exp(-1.0), rel=1e-12)
+    for alpha, d in [(0.1, 10.0), (1.0 / 30.0, 10.0), (0.05, 7.3), (0.0, 1.0)]:
+        assert SegmentModel(alpha, d).survival == float(np.exp(-alpha * d))
     with pytest.raises(ValueError):
         SegmentModel(alpha=-0.1, d=10.0)
 

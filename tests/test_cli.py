@@ -2,12 +2,18 @@
 
 import json
 import math
+import tempfile
+from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lossguard import analytics, cli, losscode
 from lossguard.analytics import TransponderParams
+from lossguard.channel import MODES
 from lossguard.losscode import CorrectionTable
 
 
@@ -139,6 +145,39 @@ def test_sweep_r_json_payload(tmp_path):
     assert len(payload["contour_r_equals_1"]) == 4
     assert payload["contour_minimum"]["p_t"] == pytest.approx(0.75, abs=1e-3)
     assert payload["contour_minimum"]["x"] == pytest.approx(math.log(1.5), abs=1e-6)
+
+
+def _sweep_r_reference(xs, pts):
+    """The texts sweep-r wrote when it evaluated r one grid point at a time."""
+    rows = [
+        (float(x), float(pt), float(analytics.r(float(x), float(pt))))
+        for x in xs
+        for pt in pts
+    ]
+    contour = [(float(x), float(analytics.break_even_pt(float(x)))) for x in xs]
+    x_star, pt_star = analytics.min_break_even_pt()
+    payload = {
+        "grid": [{"x": x, "p_t": pt, "r": rv} for x, pt, rv in rows],
+        "contour_r_equals_1": [{"x": x, "p_t": pt} for x, pt in contour],
+        "contour_minimum": {"x": x_star, "p_t": pt_star},
+    }
+    return cli._csv("x,p_t,r", rows), cli._csv("x,p_t", contour), cli._dumps(payload)
+
+
+def test_sweep_r_bytes_match_the_per_point_reference(tmp_path):
+    # a non-square grid, so that a transposed evaluation cannot pass
+    xs = np.exp(np.linspace(math.log(0.05), math.log(2.5), 7))
+    pts = np.linspace(0.55, 1.0, 5)
+    csv_text, contour_text, json_text = _sweep_r_reference(xs, pts)
+    grid = ["--x-lo", "0.05", "--x-hi", "2.5", "--x-steps", "7",
+            "--pt-lo", "0.55", "--pt-hi", "1.0", "--pt-steps", "5"]
+    out = tmp_path / "grid.csv"
+    assert run_cli("sweep-r", "--out", str(out), *grid) == 0
+    assert out.read_text(encoding="utf-8") == csv_text
+    assert (tmp_path / "grid.contour.csv").read_text(encoding="utf-8") == contour_text
+    out = tmp_path / "grid.json"
+    assert run_cli("sweep-r", "--out", str(out), "--format", "json", *grid) == 0
+    assert out.read_text(encoding="utf-8") == json_text
 
 
 def test_sweep_r_rejects_bad_ranges(tmp_path):
@@ -314,6 +353,56 @@ def test_run_config_rejects_override_with_per_gate_coins(tmp_path, command):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"p_t_override": 0.5, "trials": 10}))
     assert run_cli(command, "--config", str(path), "--mode", "per_gate") == 2
+
+
+_TEXT = st.text(max_size=4)
+_HUGE = st.integers(min_value=2**1100, max_value=2**1200)  # beyond float range
+_COUNT = st.one_of(st.integers(max_value=0), st.floats(), _TEXT, st.none())
+_BAD_PROBABILITY = st.one_of(st.floats().filter(lambda v: not 0.0 <= v <= 1.0), _TEXT, st.none())
+_BAD_NONNEGATIVE = st.one_of(
+    st.floats().filter(lambda v: not (math.isfinite(v) and v >= 0.0)), _HUGE, _TEXT, st.none()
+)
+_INVALID_FIELDS = {
+    "trials": _COUNT,
+    "num_stages": _COUNT,
+    "max_cycles": _COUNT,
+    "seed": st.one_of(st.integers(max_value=-1), st.floats(), _TEXT, st.none()),
+    "mode": st.one_of(_TEXT.filter(lambda m: m not in MODES), st.integers(), st.none()),
+    "p_t_override": st.one_of(st.floats().filter(lambda v: not 0.0 <= v <= 1.0), _TEXT),
+    "alpha": _BAD_NONNEGATIVE,
+    "d": _BAD_NONNEGATIVE,
+    "nu": st.one_of(st.floats().filter(lambda v: not (math.isfinite(v) and v > 0.0)), _HUGE, _TEXT),
+    "n": st.one_of(
+        st.integers(max_value=0),
+        st.integers(min_value=2**53),
+        st.floats().filter(lambda v: not (math.isfinite(v) and v.is_integer() and v >= 1.0)),
+        _TEXT,
+        st.none(),
+    ),
+    "eta": _BAD_PROBABILITY,
+    "p_one": _BAD_PROBABILITY,
+    "p_spg": _BAD_PROBABILITY,
+}
+
+
+@given(
+    command=st.sampled_from(["chain", "loop"]),
+    field=st.sampled_from(sorted(_INVALID_FIELDS)).flatmap(
+        lambda name: st.tuples(st.just(name), _INVALID_FIELDS[name])
+    ),
+)
+@settings(max_examples=300, deadline=timedelta(seconds=5))
+def test_run_config_rejects_every_invalid_field(command, field):
+    name, value = field
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bad.json"
+        path.write_text(json.dumps({"trials": 10, name: value}), encoding="utf-8")
+        assert run_cli(command, "--config", str(path)) == 2
+
+
+@pytest.mark.parametrize("command", [["chain", "--trials", "10"], ["loop", "--trials", "10"], ["verify"]])
+def test_negative_seed_is_a_usage_error(command):
+    assert run_cli(*command, "--seed", "-1") == 2
 
 
 def test_chain_runs_without_config(tmp_path, capsys):

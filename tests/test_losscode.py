@@ -203,6 +203,15 @@ def test_every_position_derives_the_same_table():
         assert losscode.derive_correction_table(position).entries == EXPECTED_TABLE
 
 
+def test_table_derivation_builds_no_density_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("table derivation built a DensityMatrix")
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", refuse)
+    for position in range(4):
+        assert losscode.derive_correction_table.__wrapped__(position).entries == EXPECTED_TABLE
+
+
 @pytest.mark.parametrize("position", range(4))
 def test_recovery_round_trip_random_states(position):
     rng = np.random.default_rng(1000 + position)
