@@ -1,5 +1,11 @@
 """Four-rail loss code, transponder analytics, and chain Monte Carlo."""
 
+import os
+
+# small matrix products run best on one BLAS thread; set before numpy loads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 from lossguard.analytics import (
     ResourceCount,
     TransponderParams,

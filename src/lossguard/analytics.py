@@ -8,6 +8,7 @@ alpha * d (fiber attenuation rate times stage separation).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -44,14 +45,15 @@ class TransponderParams:
     nu: float = 2.0e5
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.alpha, self.d, self.nu)):
+        # integers beyond float range are finite, but overflow once used as floats
+        if not all(abs(v) <= sys.float_info.max for v in (self.alpha, self.d, self.nu)):
             raise ValueError("alpha, d and nu must be finite")
         if self.alpha < 0 or self.d < 0:
             raise ValueError("alpha and d must be nonnegative")
         if self.nu <= 0:
             raise ValueError("nu must be positive")
         # above 2**53 the gate success n / (n + 1) rounds to 1; far above, floats overflow
-        if not 1 <= self.n < 2**53 or int(self.n) != self.n:
+        if isinstance(self.n, bool) or not 1 <= self.n < 2**53 or int(self.n) != self.n:
             raise ValueError(f"n must be an integer in [1, 2**53), got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
         for name in ("eta", "p_one", "p_spg"):
@@ -126,7 +128,7 @@ def f(x):
 
 def gate_success(n: int) -> float:
     """Success probability of a teleported two-qubit gate backed by n pairs."""
-    if int(n) != n or n < 1:
+    if not 1 <= n <= sys.float_info.max or int(n) != n:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     return (n / (n + 1.0)) ** 2
 
@@ -231,7 +233,7 @@ def resources(n: int, reduction_level: str) -> ResourceCount:
     ii:   CNOTs rewritten as CZ plus one-qubit gates.
     iii:  each CZ teleported through 2n ancilla photons.
     """
-    if int(n) != n or n < 1:
+    if not 1 <= n < math.inf or int(n) != n:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     n = int(n)
     if reduction_level not in REDUCTION_LEVELS:

@@ -47,6 +47,8 @@ class ChainConfig:
         for name in ("num_stages", "trials", "seed", "max_cycles"):
             value = getattr(self, name)
             try:
+                if isinstance(value, bool):
+                    raise TypeError
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -272,12 +274,25 @@ def _loop_chunk(config: ChainConfig, rng: np.random.Generator, trials: int) -> t
     return total, total_sq, live
 
 
+def check_loop_budget(config: ChainConfig) -> None:
+    """Refuse a loop whose trials x min(max_cycles, 1 / (1 - q)) expected cycles
+    pass max_stage_evals, at per-cycle success q."""
+    q = config.stage_success()
+    cycles = config.max_cycles if q >= 1.0 else min(config.max_cycles, 1.0 / (1.0 - q))
+    if config.trials * cycles > config.max_stage_evals:
+        raise ValueError(
+            f"loop of {config.trials} trials x {cycles:.6g} expected cycles exceeds "
+            f"the budget of {config.max_stage_evals} stage evaluations"
+        )
+
+
 def run_loop(config: ChainConfig, workers: int = 1) -> LoopStats:
     """Cycle a block around a fiber loop of circumference d until it fails.
 
     Surviving cycle counts are geometric; trials still alive at max_cycles
     are censored at the cap.
     """
+    check_loop_budget(config)
     parts = _run_chunks(_loop_chunk, (config,), config, workers)
     trials = config.trials
     total = sum(p[0] for p in parts)

@@ -9,7 +9,7 @@ line every stage, so its gates must fire whether or not a loss occurred.
 
 from __future__ import annotations
 
-import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -44,7 +44,7 @@ class SegmentModel:
     d: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and math.isfinite(self.d)):
+        if not all(abs(v) <= sys.float_info.max for v in (self.alpha, self.d)):
             raise ValueError("alpha and d must be finite")
         if self.alpha < 0 or self.d < 0:
             raise ValueError("alpha and d must be nonnegative")
@@ -61,7 +61,7 @@ class LossEvent:
     survival_mask: tuple[bool, bool, bool, bool]
 
     def __post_init__(self) -> None:
-        mask = tuple(bool(b) for b in self.survival_mask)
+        mask = tuple(map(bool, self.survival_mask))
         if len(mask) != RAILS:
             raise ValueError(f"survival mask must cover {RAILS} rails")
         object.__setattr__(self, "survival_mask", mask)
@@ -161,8 +161,8 @@ def stage(
 ) -> StageResult:
     """Send a code block through one segment and its transponder.
 
-    `force_event` pins the loss pattern (test hook).  A single loss applies
-    the compiled recovery maps of its position to the block's amplitudes.
+    `force_event` pins the loss pattern (test hook).  A single loss runs the
+    recovery kernel of losscode on the block's two split columns.
     """
     if check_code_space and not losscode.in_code_space(encoded):
         raise ValueError("stage input is not in the code space")
@@ -177,21 +177,14 @@ def stage(
     if not gates_ok:
         return StageResult(STATUS_FAILED_GATES, None, event)
     position = event.lost_position()
-    # The two values of the lost rail split the block into two surviving-rail
-    # vectors; one product sends both through all four readout maps.
-    images = losscode.branch_maps(position) @ encoded.amplitudes[losscode.SPLITS[position]]
-    weights = (images * images.conj()).real.sum(axis=1).tolist()  # [readout][lost-rail value]
+    # The two values of the lost rail split the block into two columns; one
+    # product sends both through all four readout maps.
+    columns = encoded.amplitudes[losscode.SPLITS[position]]
+    images, weights = losscode.recovery_images(columns, position)
     probs = [w0 + w1 for w0, w1 in weights]
     total = sum(probs)
     # the last bound is left out, which reads it as exactly 1
-    cumulative = list(accumulate(p / total for p in probs))[:-1]
+    cumulative = list(accumulate([p / total for p in probs[:-1]]))
     choice = bisect_right(cumulative, rng.random())
-    # Tracing out the lost rail mixes the two images of the chosen readout;
-    # the result is pure only when they are parallel.
-    first, second = images[choice, :, 0], images[choice, :, 1]
-    w0, w1 = weights[choice]
-    mixed = (w0 * w1 - abs(np.vdot(first, second)) ** 2) / probs[choice] ** 2
-    if mixed > losscode.RECOVERY_TOL:
-        raise losscode.RecoveryError(f"post-measurement state not pure: mixed weight {mixed:.3g}")
-    kept, weight = (first, w0) if w0 >= w1 else (second, w1)
-    return StageResult(STATUS_CORRECTED, PureState(RAILS, kept / math.sqrt(weight)), event)
+    kept = losscode.corrected_block(images[choice], weights[choice])
+    return StageResult(STATUS_CORRECTED, PureState(RAILS, kept), event)

@@ -22,7 +22,7 @@ from lossguard import analytics, chainsim, losscode
 from lossguard.analytics import TransponderParams
 from lossguard.channel import MODE_AGGREGATE, MODES
 from lossguard.losscode import OUTCOMES, RecoveryError, TableDerivationError
-from lossguard.simcore import fidelity, partial_trace, random_state
+from lossguard.simcore import PureState, fidelity, random_state
 
 DEFAULT_PARAMS = TransponderParams(
     alpha=1.0 / 30.0,
@@ -134,8 +134,11 @@ def _build_run_config(args, raw: dict) -> chainsim.ChainConfig:
             run_kwargs[name] = getattr(args, flag)
     try:
         params = replace(DEFAULT_PARAMS, **{k: raw[k] for k in _PARAM_FIELDS if k in raw})
-        return chainsim.ChainConfig(params=params, **run_kwargs)
-    except (TypeError, ValueError, OverflowError) as exc:
+        config = chainsim.ChainConfig(params=params, **run_kwargs)
+        if args.command == "loop":
+            chainsim.check_loop_budget(config)
+        return config
+    except (TypeError, ValueError) as exc:
         raise CliError(f"bad configuration: {exc}")
 
 
@@ -144,8 +147,6 @@ def _build_run_config(args, raw: dict) -> chainsim.ChainConfig:
 
 
 def _check_codeword_table() -> str | None:
-    from lossguard.simcore import PureState
-
     for word in losscode.codewords():
         ket_a, ket_b = losscode.CODEWORD_KETS[word.logical_bits]
         expected = (
@@ -177,26 +178,20 @@ def _check_recovery(states: int, seed: int) -> str | None:
         logical = random_state(2, rng)
         encoded = losscode.encode(logical)
         for position in range(4):
-            damaged = partial_trace(encoded.to_density_matrix(), position)
-            probs = losscode.outcome_probabilities(damaged, position)
-            if np.max(np.abs(probs - 0.25)) > 1e-12:
-                return _dumps(
-                    {
-                        "property": "outcome-uniformity",
-                        "state_index": index,
-                        "loss_position": position,
-                        "probabilities": [float(p) for p in probs],
-                    }
-                )
-            for outcome in OUTCOMES:
-                branch = losscode.recover_forced(damaged, position, outcome)
-                fid = fidelity(branch.corrected_state, encoded)
+            where = {"state_index": index, "loss_position": position}
+            columns = encoded.amplitudes[losscode.SPLITS[position]]
+            images, weights = losscode.recovery_images(columns, position)
+            probs = [sum(w) for w in weights]
+            if max(abs(p - 0.25) for p in probs) > 1e-12:
+                return _dumps({"property": "outcome-uniformity", **where, "probabilities": probs})
+            for outcome, branch, branch_weights in zip(OUTCOMES, images, weights):
+                kept = losscode.corrected_block(branch, branch_weights)
+                fid = fidelity(PureState(4, kept), encoded)
                 if fid < 1.0 - 1e-10:
                     return _dumps(
                         {
                             "property": "round-trip",
-                            "state_index": index,
-                            "loss_position": position,
+                            **where,
                             "outcome": outcome,
                             "fidelity": fid,
                             "logical_real": [float(a.real) for a in logical.amplitudes],

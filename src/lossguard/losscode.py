@@ -11,11 +11,16 @@ Circuit, readout and correction together are linear: for each loss
 position and ancilla readout, recovery is one fixed 16x8 map from the three
 surviving rails to the corrected four-rail state.  `branch_maps` compiles
 the four maps of a position once, from the circuit definition below.
+
+`recovery_images` and `corrected_block` apply them to a damaged block given
+as columns C with rho = C C^dagger: the two split columns of a pure block,
+or a factored density matrix.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,7 +35,6 @@ from lossguard.simcore import (
     PureState,
     apply_gate,
     fidelity,
-    pure_from_density,
     random_state,
     tensor,
 )
@@ -214,12 +218,6 @@ def apply_pauli_word(state: PureState, word: str, qubit: int) -> PureState:
     return state
 
 
-def _check_recovery_inputs(damaged: DensityMatrix, loss_position: int) -> int:
-    if damaged.num_qubits != DATA_QUBITS - 1:
-        raise ValueError("damaged state must have three qubits")
-    return _check_position(loss_position)
-
-
 def _circuit_maps(loss_position: int) -> np.ndarray:
     """The recovery circuit before correction: one 16x8 map per ancilla readout.
 
@@ -253,20 +251,38 @@ def branch_maps(loss_position: int) -> np.ndarray:
     return maps
 
 
-def _apply_map(
-    a: np.ndarray, damaged: DensityMatrix, outcome: str
-) -> tuple[MeasurementRecord, PureState]:
-    """One ancilla readout; the surviving four-rail state is always pure."""
-    sigma = a @ damaged.matrix @ a.conj().T
-    prob = float(np.real(np.trace(sigma)))
-    if prob <= ZERO_BRANCH_TOL:
-        raise ImpossibleBranchError(f"readout {outcome} has probability {prob!r}")
-    record = MeasurementRecord(ANCILLA_QUBITS, tuple(int(b) for b in outcome), prob)
-    try:
-        state = pure_from_density(DensityMatrix(DATA_QUBITS, sigma / prob), tol=RECOVERY_TOL)
-    except ValueError as exc:
-        raise RecoveryError(f"post-measurement state not pure: {exc}") from exc
-    return record, state
+def recovery_images(columns: np.ndarray, loss_position: int) -> tuple[np.ndarray, list]:
+    """images[m] = branch_maps(pos)[m] @ columns, and weights[m][j] = |images[m][:, j]|^2
+    as Python floats; readout m has probability sum(weights[m])."""
+    images = branch_maps(loss_position) @ columns
+    return images, (images * images.conj()).real.sum(axis=1).tolist()
+
+
+def corrected_block(images: np.ndarray, weights: list[float]) -> np.ndarray:
+    """One readout's corrected four-rail amplitudes: its heaviest image, normalized.
+
+    Raises RecoveryError when more than RECOVERY_TOL of the readout's weight
+    lies off that image, i.e. when images images^dagger is not pure."""
+    total = sum(weights)
+    if total <= ZERO_BRANCH_TOL:
+        raise ImpossibleBranchError(f"readout has probability {total!r}")
+    k = weights.index(max(weights))
+    kept, weight = images[:, k], weights[k]
+    off = total - weight
+    for j in range(len(weights)):
+        if j != k:
+            off -= abs(np.vdot(kept, images[:, j])) ** 2 / weight
+    if off > RECOVERY_TOL * total:
+        raise RecoveryError(f"post-measurement state not pure: mixed weight {off / total:.3g}")
+    return kept / math.sqrt(weight)
+
+
+def _factor(damaged: DensityMatrix, loss_position: int) -> tuple[np.ndarray, int]:
+    """C with damaged.matrix = C C^dagger (one eigh, clipped at 0), and the position."""
+    if damaged.num_qubits != DATA_QUBITS - 1:
+        raise ValueError("damaged state must have three qubits")
+    values, vectors = np.linalg.eigh(damaged.matrix)
+    return vectors * np.sqrt(np.clip(values, 0.0, None)), _check_position(loss_position)
 
 
 def _recover(
@@ -275,23 +291,20 @@ def _recover(
     outcomes: tuple[str, ...],
     expected: PureState | None,
 ) -> tuple[RecoveryOutcome, ...]:
-    """Corrected branches of a heralded loss, one per listed ancilla readout.
-
-    When `expected` is given, a RecoveryError is raised if any branch falls
-    below fidelity 1 - RECOVERY_TOL.
-    """
-    loss_position = _check_recovery_inputs(damaged, loss_position)
-    maps = branch_maps(loss_position)
+    """Corrected branches of a heralded loss, one per listed readout."""
+    images, weights = recovery_images(*_factor(damaged, loss_position))
     words = derive_correction_table(loss_position).entries
     branches = []
     for outcome in outcomes:
         if outcome not in OUTCOMES:
             raise ValueError(f"outcome must be one of {OUTCOMES}, got {outcome!r}")
-        record, state = _apply_map(maps[OUTCOMES.index(outcome)], damaged, outcome)
+        m = OUTCOMES.index(outcome)
+        state = PureState(DATA_QUBITS, corrected_block(images[m], weights[m]))
         if expected is not None:
             fid = fidelity(state, expected)
             if fid < 1.0 - RECOVERY_TOL:
                 raise RecoveryError(f"outcome {outcome} recovered with fidelity {fid!r}")
+        record = MeasurementRecord(ANCILLA_QUBITS, tuple(int(b) for b in outcome), sum(weights[m]))
         branches.append(RecoveryOutcome(record, state, words[outcome]))
     return tuple(branches)
 
@@ -373,5 +386,5 @@ def all_correction_tables() -> list[CorrectionTable]:
 
 def outcome_probabilities(damaged: DensityMatrix, loss_position: int) -> np.ndarray:
     """Ancilla readout distribution; uniform 1/4 for any code-space input."""
-    maps = branch_maps(_check_recovery_inputs(damaged, loss_position))
-    return np.real(np.einsum("mij,jk,mik->m", maps, damaged.matrix, maps.conj()))
+    _, weights = recovery_images(*_factor(damaged, loss_position))
+    return np.array([sum(w) for w in weights])

@@ -61,7 +61,7 @@ def test_criterion_1_codeword_table(report):
 
 def test_criterion_2_recovery_walkthrough(report):
     from lossguard.losscode import ANCILLA_QUBITS, RECOVERY_GATES
-    from lossguard.simcore import apply_gate_dm, embed, project, pure_from_density
+    from reference import apply_gate_dm, embed, project, pure_from_density
 
     start = time.perf_counter()
     codeword = losscode.encode(PureState.basis("01"))

@@ -136,8 +136,9 @@ def test_r_grows_as_gates_degrade():
 def test_gate_success_form():
     assert gate_success(1) == pytest.approx(0.25, abs=1e-15)
     assert gate_success(56) == pytest.approx(0.9652200677131424, rel=1e-12)
-    with pytest.raises(ValueError):
-        gate_success(0)
+    for bad in (0, 1.5, float("inf"), float("nan"), 10**400):
+        with pytest.raises(ValueError):
+            gate_success(bad)
 
 
 def test_p_t_aggregate_is_eight_gate_product():
@@ -248,8 +249,9 @@ def test_resource_row_with_teleported_gates_scales_with_n():
 
 
 def test_resources_validation_and_dict():
-    with pytest.raises(ValueError):
-        resources(0, "raw")
+    for bad in (0, 1.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            resources(bad, "raw")
     with pytest.raises(ValueError):
         resources(4, "iv")
     d = resources(2, "raw").as_dict()
@@ -286,7 +288,7 @@ def test_params_validation():
         TransponderParams(alpha=0.1, d=1.0, n=1, eta=1.2)
     with pytest.raises(ValueError):
         TransponderParams(alpha=0.1, d=1.0, n=1, nu=0.0)
-    for bad_n in (1.5, float("inf"), float("nan"), 2**53, 10**400):
+    for bad_n in (1.5, float("inf"), float("nan"), 2**53, 10**400, True):
         with pytest.raises(ValueError):
             TransponderParams(alpha=0.1, d=1.0, n=bad_n)
     assert TransponderParams(alpha=0.1, d=1.0, n=16.0).n == 16
@@ -294,7 +296,11 @@ def test_params_validation():
     assert params.x == pytest.approx(0.6, rel=1e-15)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "bad",
+    [float("nan"), float("inf"), float("-inf"), 10**400, -(10**400)],
+    ids=["nan", "inf", "-inf", "10**400", "-10**400"],
+)
 @pytest.mark.parametrize("name", ["alpha", "d", "nu"])
 def test_params_reject_non_finite_values(name, bad):
     kwargs = dict(alpha=0.05, d=12.0, n=8, nu=2.0e5)

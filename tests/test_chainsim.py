@@ -34,8 +34,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ChainConfig(params=MID_PARAMS, trials=10**6, num_stages=10**6)
     for name in ("trials", "num_stages", "seed", "max_cycles"):
-        with pytest.raises(ValueError, match=name):
-            ChainConfig(params=MID_PARAMS, **{name: 2.0})
+        for bad in (2.0, True):
+            with pytest.raises(ValueError, match=name):
+                ChainConfig(params=MID_PARAMS, **{name: bad})
     with pytest.raises(ValueError, match="seed"):
         ChainConfig(params=MID_PARAMS, seed=-1)
     assert type(ChainConfig(params=MID_PARAMS, seed=np.int64(3)).seed) is int
@@ -192,6 +193,23 @@ def test_run_loop_censors_at_the_cycle_cap():
     assert stats.censored_fraction == 1.0
     assert stats.mean_cycles_stderr == 0.0
     assert math.isinf(chainsim.analytic_loop_mean_cycles(cfg))
+
+
+def test_run_loop_refuses_work_beyond_its_budget():
+    # no cycle ever fails, so every trial would run to the default cap of 10**6
+    endless = ChainConfig(params=IDEAL_PARAMS, trials=10_000, p_t_override=1.0)
+    with pytest.raises(ValueError, match="budget"):
+        run_loop(endless)
+    # the expected work counts min(max_cycles, 1 / (1 - q)) cycles per trial
+    lossy = ChainConfig(params=MID_PARAMS, trials=1000, p_t_override=0.5)
+    work = 1000 * (1.0 / (1.0 - lossy.stage_success()))
+    chainsim.check_loop_budget(dataclasses.replace(lossy, max_stage_evals=math.ceil(work)))
+    with pytest.raises(ValueError, match="budget"):
+        chainsim.check_loop_budget(dataclasses.replace(lossy, max_stage_evals=math.floor(work)))
+    capped = dataclasses.replace(endless, max_cycles=25, max_stage_evals=250_000)
+    chainsim.check_loop_budget(capped)
+    with pytest.raises(ValueError, match="budget"):
+        chainsim.check_loop_budget(dataclasses.replace(capped, max_stage_evals=249_999))
 
 
 def test_run_loop_is_deterministic_across_workers():

@@ -38,7 +38,9 @@ def test_segment_model_survival():
         SegmentModel(alpha=-0.1, d=10.0)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), float("-inf"), 10**400], ids=["nan", "inf", "-inf", "10**400"]
+)
 def test_segment_model_rejects_non_finite_values(bad):
     with pytest.raises(ValueError):
         SegmentModel(alpha=bad, d=10.0)
@@ -250,6 +252,82 @@ def test_stage_rejects_a_recovery_that_leaves_a_mixed_state():
         )
     with pytest.raises(losscode.RecoveryError):
         losscode.recovery_branches(partial_trace(block.to_density_matrix(), 0), 0)
+
+
+@pytest.mark.parametrize("eps, refused", [(3e-5, True), (3e-6, False)])
+def test_both_recovery_paths_share_the_purity_tolerance(eps, refused):
+    # a lost rail entangled with weight eps**2 leaves about 5e-10 to 8e-10
+    # of each readout's weight off its heaviest image at eps = 3e-5, and
+    # about 100 times less at eps = 3e-6; RECOVERY_TOL = 1e-10 sits between
+    rng = np.random.default_rng(8)
+    phi, chi = random_state(3, rng).amplitudes, random_state(3, rng).amplitudes
+    chi = chi - np.vdot(phi, chi) * phi
+    amps = np.zeros(16, dtype=complex)
+    amps[losscode.SPLITS[1]] = np.column_stack([phi, eps * chi / np.linalg.norm(chi)])
+    block = PureState(4, amps / np.linalg.norm(amps))
+    damaged = partial_trace(block.to_density_matrix(), 1)
+    model = SegmentModel(alpha=0.05, d=10.0)
+    forced = dict(p_t_override=1.0, force_event=LossEvent((True, False, True, True)))
+    for seed in range(8):  # the seeds pick different readouts
+        rng = np.random.default_rng(seed)
+        if refused:
+            with pytest.raises(losscode.RecoveryError):
+                stage(block, model, PARAMS, rng, check_code_space=False, **forced)
+        else:
+            result = stage(block, model, PARAMS, rng, check_code_space=False, **forced)
+            assert result.status == STATUS_CORRECTED
+    if refused:
+        with pytest.raises(losscode.RecoveryError):
+            losscode.recovery_branches(damaged, 1)
+    else:
+        assert len(losscode.recovery_branches(damaged, 1)) == 4
+
+
+class FixedDraws:
+    """Stands in for a Generator whose random() returns the listed values in turn."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def product_block(position, seed):
+    """A block whose lost rail is unentangled with the rest: outside the code
+    space, yet every readout leaves a pure state, with unequal probabilities."""
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(16, dtype=complex)
+    amps[losscode.SPLITS[position]] = np.outer(
+        random_state(3, rng).amplitudes, random_state(1, rng).amplitudes
+    )
+    return PureState(4, amps)
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_stage_and_recovery_branches_agree_on_every_readout(position):
+    # stage runs the kernel on a block's split columns, recovery_branches on
+    # its factored density matrix; both must give the same branches
+    for block in (encoded_state(17 + position), product_block(position, 40 + position)):
+        damaged = partial_trace(block.to_density_matrix(), position)
+        branches = losscode.recovery_branches(damaged, position)
+        probs = [b.measurement.outcome_probability for b in branches]
+        event = LossEvent(tuple(i != position for i in range(4)))
+        for m, branch in enumerate(branches):
+            lo, hi = sum(probs[:m]), sum(probs[: m + 1])
+            # the first draw is the gate coin and the second picks the readout:
+            # a draw 1e-12 inside either end of readout m's interval picks it
+            for u in (lo + 1e-12, hi - 1e-12):
+                result = stage(
+                    block,
+                    SegmentModel(alpha=0.05, d=10.0),
+                    PARAMS,
+                    FixedDraws(0.0, u),
+                    p_t_override=1.0,
+                    force_event=event,
+                    check_code_space=False,
+                )
+                assert fidelity(result.state, branch.corrected_state) >= 1.0 - 1e-12
 
 
 def test_stage_success_rate_matches_product_model():

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import time
 from datetime import timedelta
 from pathlib import Path
 
@@ -357,25 +361,35 @@ def test_run_config_rejects_override_with_per_gate_coins(tmp_path, command):
 
 _TEXT = st.text(max_size=4)
 _HUGE = st.integers(min_value=2**1100, max_value=2**1200)  # beyond float range
-_COUNT = st.one_of(st.integers(max_value=0), st.floats(), _TEXT, st.none())
-_BAD_PROBABILITY = st.one_of(st.floats().filter(lambda v: not 0.0 <= v <= 1.0), _TEXT, st.none())
+_OUT_OF_RANGE = st.one_of(_HUGE, _HUGE.map(lambda v: -v))
+_COUNT = st.one_of(st.integers(max_value=0), st.floats(), st.booleans(), _TEXT, st.none())
+_BAD_PROBABILITY = st.one_of(
+    st.floats().filter(lambda v: not 0.0 <= v <= 1.0), _OUT_OF_RANGE, _TEXT, st.none()
+)
 _BAD_NONNEGATIVE = st.one_of(
-    st.floats().filter(lambda v: not (math.isfinite(v) and v >= 0.0)), _HUGE, _TEXT, st.none()
+    st.floats().filter(lambda v: not (math.isfinite(v) and v >= 0.0)),
+    _OUT_OF_RANGE,
+    _TEXT,
+    st.none(),
 )
 _INVALID_FIELDS = {
     "trials": _COUNT,
     "num_stages": _COUNT,
     "max_cycles": _COUNT,
-    "seed": st.one_of(st.integers(max_value=-1), st.floats(), _TEXT, st.none()),
+    "seed": st.one_of(st.integers(max_value=-1), st.floats(), st.booleans(), _TEXT, st.none()),
     "mode": st.one_of(_TEXT.filter(lambda m: m not in MODES), st.integers(), st.none()),
-    "p_t_override": st.one_of(st.floats().filter(lambda v: not 0.0 <= v <= 1.0), _TEXT),
+    "p_t_override": _BAD_PROBABILITY.filter(lambda v: v is not None),
     "alpha": _BAD_NONNEGATIVE,
     "d": _BAD_NONNEGATIVE,
-    "nu": st.one_of(st.floats().filter(lambda v: not (math.isfinite(v) and v > 0.0)), _HUGE, _TEXT),
+    "nu": st.one_of(
+        st.floats().filter(lambda v: not (math.isfinite(v) and v > 0.0)), _OUT_OF_RANGE, _TEXT
+    ),
     "n": st.one_of(
         st.integers(max_value=0),
         st.integers(min_value=2**53),
         st.floats().filter(lambda v: not (math.isfinite(v) and v.is_integer() and v >= 1.0)),
+        st.booleans(),
+        _OUT_OF_RANGE,
         _TEXT,
         st.none(),
     ),
@@ -431,6 +445,24 @@ def test_loop_report(config_file, tmp_path):
     z = (emp["mean_cycles"] - ana["mean_cycles"]) / emp["mean_cycles_stderr"]
     assert abs(z) < 4.0
     assert ana["bare_half_decay_time"] == pytest.approx(1.0 / (2 * 0.02 * 2.0e5))
+
+
+def test_loop_without_failures_is_refused_before_it_runs(tmp_path):
+    # at per-cycle success 1 each of the 10,000 default trials would run to
+    # the 10**6-cycle cap; the budget refuses the run before any draw
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 0, "p_t_override": 1}))
+    start = time.perf_counter()
+    assert run_cli("loop", "--config", str(cfg)) == 2
+    assert time.perf_counter() - start < 10.0
+
+
+@pytest.mark.parametrize("name", ["trials", "num_stages", "max_cycles", "seed", "n"])
+def test_json_booleans_are_not_counts(tmp_path, name):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 10, name: True}))
+    for command in ("chain", "loop"):
+        assert run_cli(command, "--config", str(cfg)) == 2
 
 
 def test_loop_censored_run_reports_null_analytic_mean(tmp_path):
@@ -495,6 +527,23 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         run_cli()
     assert err.value.code == 2
+
+
+def test_import_pins_one_blas_thread_unless_set():
+    # the console script imports lossguard before numpy, so the pin applies
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    code = f"import os, lossguard; print(*(os.environ[name] for name in {names!r}))"
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    src = str(Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+
+    def pinned():
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        return run.stdout.split()
+
+    assert pinned() == ["1", "1"]
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    assert pinned() == ["2", "1"]
 
 
 def test_threads_env_validation(monkeypatch, config_file):

@@ -12,17 +12,8 @@ from lossguard.losscode import (
     CorrectionTable,
     RecoveryError,
 )
-from lossguard.simcore import (
-    DensityMatrix,
-    PureState,
-    apply_gate_dm,
-    embed,
-    fidelity,
-    partial_trace,
-    project,
-    pure_from_density,
-    random_state,
-)
+from lossguard.simcore import DensityMatrix, PureState, fidelity, partial_trace, random_state
+from reference import apply_gate_dm, embed, project, pure_from_density
 
 EXPECTED_TABLE = {"00": "I", "01": "X", "10": "Z", "11": "XZ"}
 
@@ -321,9 +312,16 @@ def test_correction_table_records_schema():
 
 
 def test_outcome_probabilities_uniform_even_for_mixed_logical_inputs():
-    # a classical mixture of codewords still reads out flat
+    # a classical mixture of codewords still reads out flat, but no readout
+    # leaves a pure block, so recovery refuses it
     a = losscode.encode(PureState.basis("00")).to_density_matrix().matrix
     b = losscode.encode(PureState.basis("11")).to_density_matrix().matrix
-    rho = DensityMatrix(4, 0.5 * a + 0.5 * b)
-    probs = losscode.outcome_probabilities(partial_trace(rho, 2), 2)
+    damaged = partial_trace(DensityMatrix(4, 0.5 * a + 0.5 * b), 2)
+    assert np.linalg.matrix_rank(damaged.matrix, tol=1e-10) == 4
+    probs = losscode.outcome_probabilities(damaged, 2)
     assert np.allclose(probs, 0.25, atol=1e-12)
+    with pytest.raises(RecoveryError):
+        losscode.recovery_branches(damaged, 2)
+    for outcome in OUTCOMES:
+        with pytest.raises(RecoveryError):
+            losscode.recover_forced(damaged, 2, outcome)
