@@ -45,6 +45,9 @@ class TransponderParams:
     nu: float = 2.0e5
 
     def __post_init__(self) -> None:
+        reals = (self.alpha, self.d, self.nu, self.eta, self.p_one, self.p_spg)
+        if any(isinstance(v, bool) for v in reals):
+            raise ValueError("alpha, d, nu, eta, p_one and p_spg must be numbers, not booleans")
         # integers beyond float range are finite, but overflow once used as floats
         if not all(abs(v) <= sys.float_info.max for v in (self.alpha, self.d, self.nu)):
             raise ValueError("alpha, d and nu must be finite")

@@ -20,7 +20,6 @@ from lossguard import analytics, channel, losscode
 from lossguard.analytics import TransponderParams, p_f, p_t_full
 from lossguard.channel import (
     MODE_AGGREGATE,
-    MODES,
     RAILS,
     SUCCESS_STATUSES,
     SegmentModel,
@@ -56,8 +55,7 @@ class ChainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.num_stages < 1 or self.trials < 1:
             raise ValueError("num_stages and trials must be >= 1")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+        channel.check_gate_model(self.mode, self.p_t_override)
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be >= 1")
         if self.trials * self.num_stages > self.max_stage_evals:
@@ -65,11 +63,6 @@ class ChainConfig:
                 f"run of {self.trials} x {self.num_stages} stages exceeds the "
                 f"budget of {self.max_stage_evals} stage evaluations"
             )
-        if self.p_t_override is not None:
-            if self.mode != MODE_AGGREGATE:
-                raise ValueError("p_t_override only applies to aggregate_pt")
-            if not 0.0 <= self.p_t_override <= 1.0:
-                raise ValueError("p_t_override must lie in [0, 1]")
 
     def effective_p_t(self) -> float:
         if self.p_t_override is not None:

@@ -10,10 +10,8 @@ line every stage, so its gates must fire whether or not a loss occurred.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -33,7 +31,6 @@ STATUSES = (STATUS_INTACT, STATUS_CORRECTED, STATUS_FAILED_MULTI, STATUS_FAILED_
 SUCCESS_STATUSES = (STATUS_INTACT, STATUS_CORRECTED)
 
 RAILS = 4
-_COIN_BLOCK = 1 << 15  # per-device uniforms drawn at once: 256 KiB of float64
 
 
 @dataclass(frozen=True)
@@ -44,6 +41,8 @@ class SegmentModel:
     d: float
 
     def __post_init__(self) -> None:
+        if any(isinstance(v, bool) for v in (self.alpha, self.d)):
+            raise ValueError("alpha and d must be numbers, not booleans")
         if not all(abs(v) <= sys.float_info.max for v in (self.alpha, self.d)):
             raise ValueError("alpha and d must be finite")
         if self.alpha < 0 or self.d < 0:
@@ -101,24 +100,26 @@ def transmit_segment(model: SegmentModel, rng: np.random.Generator) -> LossEvent
 
 
 def per_gate_coins(params: TransponderParams, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """One coin per device for each of `rows` stages: True where all fired.
+    """Per-device gate coins for `rows` stages: True where every device fired.
 
-    A row's uniforms are consecutive draws in `gate_devices` order; rows are
-    drawn into one reused buffer of at most `_COIN_BLOCK` uniforms, which
-    bounds memory without changing which draw lands on which device.  A
-    device kind all fired when its largest uniform is below its probability.
+    Each row draws how many devices of each `gate_devices` kind failed and
+    fires where none did: P(no failure among k devices) = p**k, so this is
+    exact in distribution, in four draws per row for any device count.
     """
-    devices = gate_devices(params)
-    counts = [count for _, count in devices]
-    starts = np.cumsum([0] + counts[:-1])
-    probs = np.array([p for p, _ in devices])
-    step = max(1, _COIN_BLOCK // sum(counts))
-    buffer = np.empty((min(step, rows), sum(counts)))
-    fired = np.empty(rows, dtype=bool)
-    for lo in range(0, rows, step):
-        draws = rng.random(out=buffer[: min(step, rows - lo)])
-        fired[lo : lo + step] = (np.maximum.reduceat(draws, starts, axis=1) < probs).all(axis=1)
-    return fired
+    probs, counts = zip(*gate_devices(params))
+    failures = rng.binomial(counts, 1.0 - np.array(probs), size=(rows, len(counts)))
+    return ~failures.any(axis=1)
+
+
+def check_gate_model(mode: str, p_t_override: float | None) -> None:
+    """Reject an unknown gate mode, or an override the mode cannot take."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if p_t_override is not None:
+        if mode != MODE_AGGREGATE:
+            raise ValueError("p_t_override only applies to aggregate_pt")
+        if isinstance(p_t_override, bool) or not 0.0 <= p_t_override <= 1.0:
+            raise ValueError("p_t_override must lie in [0, 1]")
 
 
 def gates_succeed(
@@ -130,22 +131,15 @@ def gates_succeed(
     """Did every transponder device fire this stage?
 
     aggregate_pt draws one coin at the full product probability; per_gate
-    draws a coin per device so the exponent bookkeeping can be
-    cross-checked.  `p_t_override` replaces the aggregate probability,
-    which is the only way to express ideal gates (the product is < 1 for
-    every finite n).
+    draws each device kind's failures apart (`per_gate_coins`) so the
+    exponent bookkeeping can be cross-checked.  `p_t_override` replaces the
+    aggregate probability, which is the only way to express ideal gates (the
+    product is < 1 for every finite n).
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if p_t_override is not None:
-        if mode != MODE_AGGREGATE:
-            raise ValueError("p_t_override only applies to aggregate_pt")
-        if not 0.0 <= p_t_override <= 1.0:
-            raise ValueError("p_t_override must lie in [0, 1]")
-        return bool(rng.random() < p_t_override)
-    if mode == MODE_AGGREGATE:
-        return bool(rng.random() < p_t_full(params))
-    return bool(per_gate_coins(params, rng, 1)[0])
+    check_gate_model(mode, p_t_override)
+    if mode == MODE_PER_GATE:
+        return bool(per_gate_coins(params, rng, 1)[0])
+    return bool(rng.random() < (p_t_full(params) if p_t_override is None else p_t_override))
 
 
 def stage(
@@ -181,10 +175,6 @@ def stage(
     # product sends both through all four readout maps.
     columns = encoded.amplitudes[losscode.SPLITS[position]]
     images, weights = losscode.recovery_images(columns, position)
-    probs = [w0 + w1 for w0, w1 in weights]
-    total = sum(probs)
-    # the last bound is left out, which reads it as exactly 1
-    cumulative = list(accumulate([p / total for p in probs[:-1]]))
-    choice = bisect_right(cumulative, rng.random())
+    choice = losscode.draw_readout([w0 + w1 for w0, w1 in weights], rng)
     kept = losscode.corrected_block(images[choice], weights[choice])
     return StageResult(STATUS_CORRECTED, PureState(RAILS, kept), event)

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -134,10 +136,13 @@ class RecoveryOutcome:
 
 
 def _check_position(loss_position: int) -> int:
-    loss_position = int(loss_position)
-    if not 0 <= loss_position < DATA_QUBITS:
+    try:
+        position = None if isinstance(loss_position, bool) else operator.index(loss_position)
+    except TypeError:
+        position = None
+    if position is None or not 0 <= position < DATA_QUBITS:
         raise ValueError(f"loss position must be 0..3, got {loss_position}")
-    return loss_position
+    return position
 
 
 def encode(logical: PureState) -> PureState:
@@ -234,7 +239,8 @@ def _pauli_matrix(word: str, qubit: int) -> np.ndarray:
     return np.column_stack(columns)
 
 
-@lru_cache(maxsize=DATA_QUBITS)
+# typed, so True and 1.0 miss position 1's entry and reach the position check
+@lru_cache(maxsize=DATA_QUBITS, typed=True)
 def branch_maps(loss_position: int) -> np.ndarray:
     """Compiled loss recovery at one position, shape (4, 16, 8).
 
@@ -275,6 +281,15 @@ def corrected_block(images: np.ndarray, weights: list[float]) -> np.ndarray:
     if off > RECOVERY_TOL * total:
         raise RecoveryError(f"post-measurement state not pure: mixed weight {off / total:.3g}")
     return kept / math.sqrt(weight)
+
+
+def draw_readout(probs: list[float], rng: np.random.Generator) -> int:
+    """Index of the ancilla readout that one uniform draw selects, readout m
+    weighted by probs[m]."""
+    total = sum(probs)
+    # the last bound is left out, which reads it as exactly 1
+    cumulative = list(itertools.accumulate([p / total for p in probs[:-1]]))
+    return bisect_right(cumulative, rng.random())
 
 
 def _factor(damaged: DensityMatrix, loss_position: int) -> tuple[np.ndarray, int]:
@@ -326,9 +341,7 @@ def recover(
     RecoveryError is raised if any falls below fidelity 1 - 1e-10.
     """
     branches = _recover(damaged, loss_position, OUTCOMES, expected)
-    probs = np.array([b.measurement.outcome_probability for b in branches])
-    choice = int(rng.choice(len(branches), p=probs / probs.sum()))
-    return branches[choice]
+    return branches[draw_readout([b.measurement.outcome_probability for b in branches], rng)]
 
 
 def recover_forced(
@@ -356,7 +369,7 @@ def _restores(word: str, loss_position: int, a: np.ndarray, rng: np.random.Gener
     return True
 
 
-@lru_cache(maxsize=DATA_QUBITS)
+@lru_cache(maxsize=DATA_QUBITS, typed=True)
 def derive_correction_table(loss_position: int) -> CorrectionTable:
     """Brute-force the outcome -> Pauli word table for one loss position.
 

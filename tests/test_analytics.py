@@ -296,6 +296,13 @@ def test_params_validation():
     assert params.x == pytest.approx(0.6, rel=1e-15)
 
 
+@pytest.mark.parametrize("bad", [True, False])
+@pytest.mark.parametrize("name", ["alpha", "d", "nu", "eta", "p_one", "p_spg"])
+def test_params_reject_booleans(name, bad):
+    with pytest.raises(ValueError, match="booleans"):
+        TransponderParams(**{"alpha": 0.05, "d": 12.0, "n": 8, name: bad})
+
+
 @pytest.mark.parametrize(
     "bad",
     [float("nan"), float("inf"), float("-inf"), 10**400, -(10**400)],

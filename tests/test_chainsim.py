@@ -224,8 +224,8 @@ def test_run_loop_is_deterministic_across_workers():
 
 
 def test_run_loop_per_gate_is_deterministic_across_workers():
-    # 11,000 trials make three chunks; at n = 100 each live trial's coins
-    # span 6,474 devices, so every cycle draws them in many blocks
+    # 11,000 trials make three chunks, each drawing its coins as one
+    # (live, 4) array of failure counts per cycle
     cfg = ChainConfig(
         params=TransponderParams(alpha=0.05, d=1.0, n=100, eta=1.0 - 1e-4),
         trials=11_000,

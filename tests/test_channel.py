@@ -1,11 +1,14 @@
 """Stage-level loss events and gate coins."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
 from lossguard import channel, losscode
 from lossguard.analytics import TransponderParams, gate_devices, p_f, p_t_full, survival_prob
+from lossguard.chainsim import ChainConfig
 from lossguard.channel import (
     MODE_AGGREGATE,
     MODE_PER_GATE,
@@ -36,6 +39,11 @@ def test_segment_model_survival():
         assert SegmentModel(alpha, d).survival == float(np.exp(-alpha * d))
     with pytest.raises(ValueError):
         SegmentModel(alpha=-0.1, d=10.0)
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="booleans"):
+            SegmentModel(alpha=flag, d=10.0)
+        with pytest.raises(ValueError, match="booleans"):
+            SegmentModel(alpha=0.1, d=flag)
 
 
 @pytest.mark.parametrize(
@@ -100,46 +108,78 @@ def test_gates_succeed_per_gate_rate():
     assert abs(hits / draws - target) < 4.0 * np.sqrt(target * (1 - target) / draws)
 
 
-def reference_coins(params, rng):
-    """Per-device coins one device kind at a time, the plain way."""
-    return all([bool(np.all(rng.random(count) < p)) for p, count in gate_devices(params)])
-
-
-class DrawLog:
-    """A generator that records how many uniforms each call asks for."""
+class BinomialLog:
+    """A generator that records the arguments and results of each failure-count draw."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
-        self.sizes = []
+        self.calls = []
+        self.draws = []
 
-    def random(self, size=None, out=None):
-        self.sizes.append(out.size if out is not None else int(np.prod(size or 1)))
-        return self.rng.random(size, out=out)
+    def binomial(self, n, p, size=None):
+        self.calls.append((np.asarray(n).tolist(), np.asarray(p).tolist(), size))
+        self.draws.append(self.rng.binomial(n, p, size))
+        return self.draws[-1]
 
 
-def test_per_gate_coins_match_row_by_row_reference_in_bounded_blocks():
-    params = TransponderParams(alpha=0.0, d=0.0, n=20, eta=0.9999)
-    step = channel._COIN_BLOCK // sum(count for _, count in gate_devices(params))
-    rows = 2 * step + 2  # two full blocks and a partial one
-    blocked = DrawLog(4)
-    fired = channel.per_gate_coins(params, blocked, rows)
-    rng = np.random.default_rng(4)
-    assert fired.tolist() == [reference_coins(params, rng) for _ in range(rows)]
-    assert blocked.rng.random() == rng.random()
-    assert 0 < fired.sum() < rows
-    assert len(blocked.sizes) == 3 and max(blocked.sizes) <= channel._COIN_BLOCK
+# lossy and large: 3.2 million guns and as many detectors per stage, p_t ~ 0.73
+LARGE_N = TransponderParams(alpha=0.0, d=0.0, n=10**5, eta=1.0 - 1e-7)
+
+
+def test_per_gate_coins_draw_failure_counts_per_device_kind():
+    params = TransponderParams(alpha=0.0, d=0.0, n=20, eta=0.9999, p_one=0.999, p_spg=0.998)
+    log = BinomialLog(4)
+    fired = channel.per_gate_coins(params, log, 1000)
+    devices = gate_devices(params)
+    assert log.calls == [
+        ([count for _, count in devices], [1.0 - p for p, _ in devices], (1000, len(devices)))
+    ]
+    failures = np.random.default_rng(4).binomial(*log.calls[0])
+    assert fired.tolist() == (failures == 0).all(axis=1).tolist()
+    assert 0 < fired.sum() < 1000
+
+
+def test_per_gate_coins_fire_at_the_product_rate_for_large_n():
+    rows = 20_000
+    log = BinomialLog(31)
+    fired = channel.per_gate_coins(LARGE_N, log, rows)
+    target = p_t_full(LARGE_N)
+    assert 0.7 < target < 0.75
+    assert abs(fired.mean() - target) <= 4.0 * np.sqrt(target * (1 - target) / rows)
+    # and each device kind all fires at p**count
+    for (p, count), failures in zip(gate_devices(LARGE_N), log.draws[0].T):
+        kind = p**count
+        assert abs(np.mean(failures == 0) - kind) <= 4.0 * np.sqrt(kind * (1 - kind) / rows)
+
+
+def test_per_gate_coins_memory_does_not_grow_with_the_device_count():
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        channel.per_gate_coins(LARGE_N, rng, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_gates_succeed_override_rules():
     rng = np.random.default_rng(0)
     assert gates_succeed(PARAMS, rng, p_t_override=1.0)
     assert not gates_succeed(PARAMS, rng, p_t_override=0.0)
-    with pytest.raises(ValueError):
-        gates_succeed(PARAMS, rng, MODE_PER_GATE, p_t_override=0.5)
-    with pytest.raises(ValueError):
-        gates_succeed(PARAMS, rng, p_t_override=1.5)
-    with pytest.raises(ValueError):
-        gates_succeed(PARAMS, rng, mode="other")
+
+
+@pytest.mark.parametrize(
+    "mode, override",
+    [(MODE_PER_GATE, 0.5), (MODE_AGGREGATE, 1.5), (MODE_AGGREGATE, True), ("other", None)],
+)
+def test_gate_model_rules_are_shared_by_config_and_coin(mode, override):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError) as coin:
+        gates_succeed(PARAMS, rng, mode, p_t_override=override)
+    with pytest.raises(ValueError) as config:
+        ChainConfig(params=PARAMS, mode=mode, p_t_override=override)
+    assert str(coin.value) == str(config.value)
 
 
 def test_stage_result_consistency_checks():
@@ -328,6 +368,9 @@ def test_stage_and_recovery_branches_agree_on_every_readout(position):
                     check_code_space=False,
                 )
                 assert fidelity(result.state, branch.corrected_state) >= 1.0 - 1e-12
+                # recover draws its readout from the same single uniform
+                picked = losscode.recover(damaged, position, FixedDraws(u))
+                assert picked.measurement.outcome_bits == branch.measurement.outcome_bits
 
 
 def test_stage_success_rate_matches_product_model():

@@ -364,11 +364,12 @@ _HUGE = st.integers(min_value=2**1100, max_value=2**1200)  # beyond float range
 _OUT_OF_RANGE = st.one_of(_HUGE, _HUGE.map(lambda v: -v))
 _COUNT = st.one_of(st.integers(max_value=0), st.floats(), st.booleans(), _TEXT, st.none())
 _BAD_PROBABILITY = st.one_of(
-    st.floats().filter(lambda v: not 0.0 <= v <= 1.0), _OUT_OF_RANGE, _TEXT, st.none()
+    st.floats().filter(lambda v: not 0.0 <= v <= 1.0), _OUT_OF_RANGE, st.booleans(), _TEXT, st.none()
 )
 _BAD_NONNEGATIVE = st.one_of(
     st.floats().filter(lambda v: not (math.isfinite(v) and v >= 0.0)),
     _OUT_OF_RANGE,
+    st.booleans(),
     _TEXT,
     st.none(),
 )
@@ -382,7 +383,10 @@ _INVALID_FIELDS = {
     "alpha": _BAD_NONNEGATIVE,
     "d": _BAD_NONNEGATIVE,
     "nu": st.one_of(
-        st.floats().filter(lambda v: not (math.isfinite(v) and v > 0.0)), _OUT_OF_RANGE, _TEXT
+        st.floats().filter(lambda v: not (math.isfinite(v) and v > 0.0)),
+        _OUT_OF_RANGE,
+        st.booleans(),
+        _TEXT,
     ),
     "n": st.one_of(
         st.integers(max_value=0),

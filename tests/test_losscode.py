@@ -194,6 +194,24 @@ def test_every_position_derives_the_same_table():
         assert losscode.derive_correction_table(position).entries == EXPECTED_TABLE
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, 2.7, "1", -1, 4], ids=repr)
+def test_loss_position_is_an_integer_even_once_cached(bad):
+    damaged = partial_trace(losscode.codewords()[1].state.to_density_matrix(), 1)
+    losscode.derive_correction_table(1)
+    losscode.branch_maps(1)
+    with pytest.raises(ValueError):
+        losscode.derive_correction_table(bad)
+    with pytest.raises(ValueError):
+        losscode.branch_maps(bad)
+    with pytest.raises(ValueError):
+        losscode.recover_forced(damaged, bad, "01")
+    one = np.int64(1)
+    assert losscode.derive_correction_table(one).entries == EXPECTED_TABLE
+    assert np.array_equal(losscode.branch_maps(one), losscode.branch_maps(1))
+    branch = losscode.recover_forced(damaged, one, "01")
+    assert fidelity(branch.corrected_state, losscode.codewords()[1].state) == pytest.approx(1.0)
+
+
 def test_table_derivation_builds_no_density_matrix(monkeypatch):
     def refuse(self):
         raise AssertionError("table derivation built a DensityMatrix")
