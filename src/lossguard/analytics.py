@@ -207,9 +207,11 @@ def min_r_over_x(p_t: float, tol: float = 1e-9) -> tuple[float, float]:
 
 
 def threshold_n(tol: float = 1e-9, max_n: int = 10_000) -> int:
-    """Smallest ancilla-pair count n whose best ratio beats bare fiber."""
+    """Smallest n whose best ratio beats bare fiber: r(x, p_t) < 1 exactly when p_t >
+    break_even_pt(x), so the first n with p_t_aggregate(n) above that curve's minimum."""
+    pt_star = min_break_even_pt(tol)[1]
     for n in range(1, max_n + 1):
-        if min_r_over_x(p_t_aggregate(n), tol=tol)[1] < 1.0:
+        if p_t_aggregate(n) > pt_star:
             return n
     raise RuntimeError(f"no break-even n found up to {max_n}")
 

@@ -75,8 +75,13 @@ class ChainConfig:
         return p_f(p) * self.effective_p_t()
 
 
+class _Report:
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
 @dataclass(frozen=True)
-class ChainStats:
+class ChainStats(_Report):
     """Empirical summary of a chain run."""
 
     trials: int
@@ -89,12 +94,9 @@ class ChainStats:
     empirical_alpha_prime: float
     alpha_prime_is_censored: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
-class LoopStats:
+class LoopStats(_Report):
     """Empirical summary of a cyclic-memory run."""
 
     trials: int
@@ -104,12 +106,9 @@ class LoopStats:
     cycle_cap: int
     implied_storage_time: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
-class ModeComparison:
+class ModeComparison(_Report):
     """Aggregate-coin vs per-device-coin cross-check."""
 
     aggregate: ChainStats
@@ -117,9 +116,6 @@ class ModeComparison:
     analytic_p_t: float
     z_score: float
     agree_within_4_sigma: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _input_rng(seed: int) -> np.random.Generator:

@@ -163,13 +163,10 @@ def stage(
     event = force_event if force_event is not None else transmit_segment(model, rng)
     if event.num_lost >= 2:
         return StageResult(STATUS_FAILED_MULTI, None, event)
-    gates_ok = gates_succeed(gate_model, rng, mode, p_t_override)
-    if event.num_lost == 0:
-        if not gates_ok:
-            return StageResult(STATUS_FAILED_GATES, None, event)
-        return StageResult(STATUS_INTACT, encoded, event)
-    if not gates_ok:
+    if not gates_succeed(gate_model, rng, mode, p_t_override):
         return StageResult(STATUS_FAILED_GATES, None, event)
+    if event.num_lost == 0:
+        return StageResult(STATUS_INTACT, encoded, event)
     position = event.lost_position()
     # The two values of the lost rail split the block into two columns; one
     # product sends both through all four readout maps.

@@ -20,7 +20,7 @@ import numpy as np
 
 from lossguard import analytics, chainsim, losscode
 from lossguard.analytics import TransponderParams
-from lossguard.channel import MODE_AGGREGATE, MODES
+from lossguard.channel import MODES
 from lossguard.losscode import OUTCOMES, RecoveryError, TableDerivationError
 from lossguard.simcore import PureState, fidelity, random_state
 
@@ -269,27 +269,27 @@ def cmd_sweep_r(args) -> int:
         raise CliError("p_t range must lie within (0, 1]")
     x_list, pt_list = xs.tolist(), pts.tolist()
     grid = analytics.r(xs[:, None], pts[None, :]).tolist()
-    rows = [(x, pt, rv) for x, r_row in zip(x_list, grid) for pt, rv in zip(pt_list, r_row)]
     contour = list(zip(x_list, analytics.break_even_pt(xs).tolist()))
     x_star, pt_star = analytics.min_break_even_pt()
-    minimum = {"x": x_star, "p_t": pt_star}
 
     if args.format == "csv":
-        _emit(_csv("x,p_t,r", rows), args.out)
+        # _csv's bytes, each axis value formatted once: one row template, one % per x
+        template = [""] + [f",{_fmt(pt)},%.17g\n" for pt in pt_list]
+        rows = [_fmt(x).join(template) % tuple(r_row) for x, r_row in zip(x_list, grid)]
+        _emit("x,p_t,r\n" + "".join(rows), args.out)
         contour_path = str(Path(args.out).with_suffix(".contour.csv"))
         _emit(_csv("x,p_t", contour), contour_path)
-        print(f"wrote {len(rows)} rows to {args.out}")
+        print(f"wrote {len(x_list) * len(pt_list)} rows to {args.out}")
         print(f"wrote r = 1 contour to {contour_path}")
     else:
         payload = {
-            "grid": [{"x": x, "p_t": pt, "r": rv} for x, pt, rv in rows],
+            "grid": [{"x": x, "p_t": pt, "r": rv}
+                     for x, r_row in zip(x_list, grid) for pt, rv in zip(pt_list, r_row)],
             "contour_r_equals_1": [{"x": x, "p_t": pt} for x, pt in contour],
-            "contour_minimum": minimum,
+            "contour_minimum": {"x": x_star, "p_t": pt_star},
         }
         _emit(_dumps(payload), args.out)
-    print(
-        f"r = 1 contour minimum: p_t = {_fmt(pt_star)} at x = {_fmt(x_star)}"
-    )
+    print(f"r = 1 contour minimum: p_t = {_fmt(pt_star)} at x = {_fmt(x_star)}")
     return 0
 
 

@@ -223,6 +223,7 @@ def apply_pauli_word(state: PureState, word: str, qubit: int) -> PureState:
     return state
 
 
+@lru_cache(maxsize=DATA_QUBITS)
 def _circuit_maps(loss_position: int) -> np.ndarray:
     """The recovery circuit before correction: one 16x8 map per ancilla readout.
 
@@ -234,13 +235,11 @@ def _circuit_maps(loss_position: int) -> np.ndarray:
     return columns.reshape(len(_RAIL_KETS), len(OUTCOMES), -1).transpose(1, 0, 2)
 
 
+@lru_cache(maxsize=len(PAULI_WORDS) * DATA_QUBITS)
 def _pauli_matrix(word: str, qubit: int) -> np.ndarray:
-    columns = [apply_pauli_word(PureState.basis(b), word, qubit).amplitudes for b in _RAIL_KETS]
-    return np.column_stack(columns)
+    return np.column_stack([apply_pauli_word(PureState.basis(b), word, qubit).amplitudes for b in _RAIL_KETS])
 
 
-# typed, so True and 1.0 miss position 1's entry and reach the position check
-@lru_cache(maxsize=DATA_QUBITS, typed=True)
 def branch_maps(loss_position: int) -> np.ndarray:
     """Compiled loss recovery at one position, shape (4, 16, 8).
 
@@ -249,9 +248,12 @@ def branch_maps(loss_position: int) -> np.ndarray:
     derive_correction_table folded in.  A damaged state rho goes to
     A rho A^dagger, whose trace is the probability of the readout.
     """
-    loss_position = _check_position(loss_position)
-    words = derive_correction_table(loss_position).entries
-    raw = _circuit_maps(loss_position)
+    return _branch_maps(_check_position(loss_position))
+
+
+@lru_cache(maxsize=DATA_QUBITS)
+def _branch_maps(loss_position: int) -> np.ndarray:
+    words, raw = derive_correction_table(loss_position).entries, _circuit_maps(loss_position)
     maps = np.stack([_pauli_matrix(words[o], loss_position) @ a for o, a in zip(OUTCOMES, raw)])
     maps.setflags(write=False)
     return maps
@@ -292,12 +294,12 @@ def draw_readout(probs: list[float], rng: np.random.Generator) -> int:
     return bisect_right(cumulative, rng.random())
 
 
-def _factor(damaged: DensityMatrix, loss_position: int) -> tuple[np.ndarray, int]:
-    """C with damaged.matrix = C C^dagger (one eigh, clipped at 0), and the position."""
+def _factor(damaged: DensityMatrix) -> np.ndarray:
+    """C with damaged.matrix = C C^dagger (one eigh, clipped at 0)."""
     if damaged.num_qubits != DATA_QUBITS - 1:
         raise ValueError("damaged state must have three qubits")
     values, vectors = np.linalg.eigh(damaged.matrix)
-    return vectors * np.sqrt(np.clip(values, 0.0, None)), _check_position(loss_position)
+    return vectors * np.sqrt(np.clip(values, 0.0, None))
 
 
 def _recover(
@@ -307,7 +309,7 @@ def _recover(
     expected: PureState | None,
 ) -> tuple[RecoveryOutcome, ...]:
     """Corrected branches of a heralded loss, one per listed readout."""
-    images, weights = recovery_images(*_factor(damaged, loss_position))
+    images, weights = recovery_images(_factor(damaged), loss_position)
     words = derive_correction_table(loss_position).entries
     branches = []
     for outcome in outcomes:
@@ -369,7 +371,6 @@ def _restores(word: str, loss_position: int, a: np.ndarray, rng: np.random.Gener
     return True
 
 
-@lru_cache(maxsize=DATA_QUBITS, typed=True)
 def derive_correction_table(loss_position: int) -> CorrectionTable:
     """Brute-force the outcome -> Pauli word table for one loss position.
 
@@ -379,7 +380,11 @@ def derive_correction_table(loss_position: int) -> CorrectionTable:
     values of the lost rail, which keep all relative phases, so they rule out
     corrections that only fix the codewords up to inconsistent signs.
     """
-    loss_position = _check_position(loss_position)
+    return _derive_correction_table(_check_position(loss_position))
+
+
+@lru_cache(maxsize=DATA_QUBITS)
+def _derive_correction_table(loss_position: int) -> CorrectionTable:
     rng = np.random.default_rng(20240 + loss_position)
     entries: dict[str, str] = {}
     for outcome, a in zip(OUTCOMES, _circuit_maps(loss_position)):
@@ -399,5 +404,5 @@ def all_correction_tables() -> list[CorrectionTable]:
 
 def outcome_probabilities(damaged: DensityMatrix, loss_position: int) -> np.ndarray:
     """Ancilla readout distribution; uniform 1/4 for any code-space input."""
-    _, weights = recovery_images(*_factor(damaged, loss_position))
+    _, weights = recovery_images(_factor(damaged), loss_position)
     return np.array([sum(w) for w in weights])

@@ -210,6 +210,17 @@ def test_threshold_n_is_fifty_six():
     assert min_r_over_x(p_t_aggregate(56))[1] < 1.0
 
 
+def test_threshold_rule_matches_the_per_n_search():
+    # reference: the best ratio over x, one golden-section search per n
+    pt_star = min_break_even_pt()[1]
+    for n in range(1, 401):
+        by_search = min_r_over_x(p_t_aggregate(n))[1] < 1.0
+        assert (p_t_aggregate(n) > pt_star) == by_search, n
+    assert threshold_n(max_n=56) == 56
+    with pytest.raises(RuntimeError):
+        threshold_n(max_n=55)
+
+
 def test_threshold_margins():
     assert min_r_over_x(p_t_aggregate(55))[1] == pytest.approx(1.000756, abs=1e-4)
     assert min_r_over_x(p_t_aggregate(56))[1] == pytest.approx(0.994426, abs=1e-4)

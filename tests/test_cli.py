@@ -169,19 +169,23 @@ def _sweep_r_reference(xs, pts):
 
 
 def test_sweep_r_bytes_match_the_per_point_reference(tmp_path):
-    # a non-square grid, so that a transposed evaluation cannot pass
-    xs = np.exp(np.linspace(math.log(0.05), math.log(2.5), 7))
-    pts = np.linspace(0.55, 1.0, 5)
-    csv_text, contour_text, json_text = _sweep_r_reference(xs, pts)
-    grid = ["--x-lo", "0.05", "--x-hi", "2.5", "--x-steps", "7",
-            "--pt-lo", "0.55", "--pt-hi", "1.0", "--pt-steps", "5"]
-    out = tmp_path / "grid.csv"
-    assert run_cli("sweep-r", "--out", str(out), *grid) == 0
-    assert out.read_text(encoding="utf-8") == csv_text
-    assert (tmp_path / "grid.contour.csv").read_text(encoding="utf-8") == contour_text
-    out = tmp_path / "grid.json"
-    assert run_cli("sweep-r", "--out", str(out), "--format", "json", *grid) == 0
-    assert out.read_text(encoding="utf-8") == json_text
+    inputs = [
+        # a non-square grid, so that a transposed evaluation cannot pass
+        (np.exp(np.linspace(math.log(0.05), math.log(2.5), 7)), np.linspace(0.55, 1.0, 5),
+         ["--x-lo", "0.05", "--x-hi", "2.5", "--x-steps", "7",
+          "--pt-lo", "0.55", "--pt-hi", "1.0", "--pt-steps", "5"]),
+        # the default 300 x 200 grid
+        (np.exp(np.linspace(math.log(0.01), math.log(3.0), 300)), np.linspace(0.5, 1.0, 200), []),
+    ]
+    for xs, pts, grid in inputs:
+        csv_text, contour_text, json_text = _sweep_r_reference(xs, pts)
+        out = tmp_path / "grid.csv"
+        assert run_cli("sweep-r", "--out", str(out), *grid) == 0
+        assert out.read_text(encoding="utf-8") == csv_text
+        assert (tmp_path / "grid.contour.csv").read_text(encoding="utf-8") == contour_text
+        out = tmp_path / "grid.json"
+        assert run_cli("sweep-r", "--out", str(out), "--format", "json", *grid) == 0
+        assert out.read_text(encoding="utf-8") == json_text
 
 
 def test_sweep_r_rejects_bad_ranges(tmp_path):

@@ -205,11 +205,33 @@ def test_loss_position_is_an_integer_even_once_cached(bad):
         losscode.branch_maps(bad)
     with pytest.raises(ValueError):
         losscode.recover_forced(damaged, bad, "01")
+    # the caches are keyed on the checked Python int: with positions 0..3 warm,
+    # a numpy position takes no entry of its own and evicts nothing
+    for position in range(4):
+        losscode.derive_correction_table(position)
+        losscode.branch_maps(position)
+    before = [f.cache_info() for f in (losscode._derive_correction_table, losscode._branch_maps)]
     one = np.int64(1)
     assert losscode.derive_correction_table(one).entries == EXPECTED_TABLE
     assert np.array_equal(losscode.branch_maps(one), losscode.branch_maps(1))
     branch = losscode.recover_forced(damaged, one, "01")
     assert fidelity(branch.corrected_state, losscode.codewords()[1].state) == pytest.approx(1.0)
+    losscode.derive_correction_table(0)
+    losscode.branch_maps(0)
+    after = [f.cache_info() for f in (losscode._derive_correction_table, losscode._branch_maps)]
+    for old, new in zip(before, after):
+        assert new.misses == old.misses and new.hits > old.hits and new.currsize == 4
+
+
+def test_branch_maps_reuse_the_maps_that_table_derivation_built():
+    # the first recovery after set-up only multiplies cached maps, so its time
+    # matches a warm one
+    losscode.all_correction_tables()
+    cached = (losscode._circuit_maps, losscode._pauli_matrix)
+    before = [f.cache_info().misses for f in cached]
+    for position in range(4):
+        assert np.array_equal(losscode._branch_maps.__wrapped__(position), losscode.branch_maps(position))
+    assert [f.cache_info().misses for f in cached] == before
 
 
 def test_table_derivation_builds_no_density_matrix(monkeypatch):
@@ -218,7 +240,7 @@ def test_table_derivation_builds_no_density_matrix(monkeypatch):
 
     monkeypatch.setattr(DensityMatrix, "__post_init__", refuse)
     for position in range(4):
-        assert losscode.derive_correction_table.__wrapped__(position).entries == EXPECTED_TABLE
+        assert losscode._derive_correction_table.__wrapped__(position).entries == EXPECTED_TABLE
 
 
 @pytest.mark.parametrize("position", range(4))
