@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Compare the bytes of a fixed list of CLI commands between a base commit and this tree.
+
+    python3 scripts/cli_bytes.py --base HEAD
+
+The base is the committed tree of ``--base``, unpacked with
+``bench_pairs.unpack`` into a temporary directory that is removed afterwards.
+Each command runs as ``python -m lossguard ...`` once per side, in a fresh
+temporary directory, with PYTHONPATH set to that side's ``src`` and one BLAS
+thread.  Config files are written into the run directory and named
+relatively, so no path differs between the sides.  Exit code, stdout, stderr
+and the bytes of every file the command writes are compared; one line per
+command reads ``SAME name`` or ``DIFF name: <fields>``, and the exit code is
+1 when any command differs.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import ROOT, unpack  # noqa: E402
+
+RUN_TIMEOUT_S = 600
+
+
+def commands() -> dict[str, tuple[list[str], dict[str, str]]]:
+    """name -> (argv after ``python -m lossguard``, {config file name: text})."""
+    chain_config = (ROOT / "scripts" / "chain_config.json").read_text(encoding="utf-8")
+    return {
+        "chain": (["chain", "--trials", "20000", "--seed", "7"], {}),
+        "chain-10-stages": (["chain", "--trials", "20000", "--stages", "10", "--seed", "9"], {}),
+        "chain-per-gate": (["chain", "--mode", "per_gate", "--trials", "3000", "--seed", "5"], {}),
+        "chain-config": (["chain", "--config", "chain.json", "--out", "rep.json"],
+                         {"chain.json": chain_config}),
+        "chain-threshold": (["chain", "--threshold"], {}),
+        "loop": (["loop", "--trials", "20000", "--seed", "11"], {}),
+        "loop-per-gate": (["loop", "--mode", "per_gate", "--trials", "2000", "--seed", "13"], {}),
+        "verify": (["verify"], {}),
+        "verify-states": (["verify", "--states", "50", "--seed", "3"], {}),
+        "verify-list-tables": (["verify", "--list-tables"], {}),
+        "verify-qubit-loss": (["verify", "--qubit-loss", "2", "--outcome", "10"], {}),
+        "sweep-r": (["sweep-r", "--out", "r.csv"], {}),
+        "sweep-r-json": (["sweep-r", "--format", "json", "--out", "r.json"], {}),
+        "sweep-r-7x5": (["sweep-r", "--x-steps", "7", "--pt-steps", "5", "--out", "small.csv"], {}),
+        "sweep-pt": (["sweep-pt", "--out", "pt.csv"], {}),
+        "sweep-pt-json": (["sweep-pt", "--format", "json", "--out", "pt.json"], {}),
+        "threshold": (["threshold", "--out", "threshold.json"], {}),
+        "resources": (["resources", "--all", "--n", "3", "--out", "resources.json"], {}),
+        "usage-sweep-r-steps": (["sweep-r", "--out", "r.csv", "--x-steps", "1"], {}),
+        "usage-config-key": (["chain", "--config", "bad.json"], {"bad.json": '{"bogus": 1}\n'}),
+    }
+
+
+def run_command(tree: Path, argv: list[str], inputs: dict[str, str]) -> dict:
+    """One CLI run on `tree` in a fresh directory: exit code, stdout, stderr
+    and {name: bytes} of every file it wrote."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory(prefix="cli-bytes-") as tmp:
+        run_dir = Path(tmp)
+        for name, text in inputs.items():
+            (run_dir / name).write_text(text, encoding="utf-8")
+        done = subprocess.run([sys.executable, "-m", "lossguard", *argv], cwd=run_dir, env=env,
+                              capture_output=True, timeout=RUN_TIMEOUT_S)
+        files = {
+            str(path.relative_to(run_dir)): path.read_bytes()
+            for path in sorted(run_dir.rglob("*"))
+            if path.is_file() and path.name not in inputs
+        }
+    return {"exit": done.returncode, "stdout": done.stdout, "stderr": done.stderr, "files": files}
+
+
+def compare(base: dict, change: dict) -> list[str]:
+    """The fields in which two run records differ, in a fixed order."""
+    fields = [key for key in ("exit", "stdout", "stderr") if base[key] != change[key]]
+    for name in sorted(set(base["files"]) | set(change["files"])):
+        if base["files"].get(name) != change["files"].get(name):
+            fields.append(f"file {name}")
+    return fields
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", default="HEAD", help="git revision to compare against (default HEAD)")
+    args = parser.parse_args(argv)
+    differs = False
+    with tempfile.TemporaryDirectory(prefix="cli-bytes-base-") as tmp:
+        print(f"base {unpack(args.base, Path(tmp))}", flush=True)
+        for name, (command, inputs) in commands().items():
+            fields = compare(run_command(Path(tmp), command, inputs), run_command(ROOT, command, inputs))
+            differs = differs or bool(fields)
+            print(f"DIFF {name}: {', '.join(fields)}" if fields else f"SAME {name}", flush=True)
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

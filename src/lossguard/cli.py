@@ -204,6 +204,8 @@ def _check_recovery(states: int, seed: int) -> str | None:
 def cmd_verify(args) -> int:
     if args.seed < 0:
         raise CliError("--seed must be >= 0")
+    if args.states < 1:
+        raise CliError("--states must be >= 1")
     if (args.qubit_loss is None) != (args.outcome is None):
         raise CliError("--qubit-loss and --outcome must be given together")
     if args.qubit_loss is not None:
@@ -255,6 +257,8 @@ def _grid(lo: float, hi: float, steps: int, log: bool, name: str) -> np.ndarray:
         raise CliError(f"{name}: steps must be >= 2")
     if not lo < hi:
         raise CliError(f"{name}: need lo < hi, got [{lo}, {hi}]")
+    if not math.isfinite(lo) or not math.isfinite(hi):
+        raise CliError(f"{name}: bounds must be finite, got [{lo}, {hi}]")
     if log:
         if lo <= 0:
             raise CliError(f"{name}: log grid needs lo > 0")
@@ -304,11 +308,11 @@ def cmd_sweep_pt(args) -> int:
     for eta in etas:
         if not 0.0 <= eta <= 1.0:
             raise CliError(f"eta must lie in [0, 1], got {eta}")
-    rows = []
-    for n in ns:
-        for eta in etas:
-            params = TransponderParams(alpha=0.0, d=0.0, n=n, eta=eta)
-            rows.append((n, float(eta), analytics.p_t_full(params)))
+    try:
+        grid = [TransponderParams(alpha=0.0, d=0.0, n=n, eta=eta) for n in ns for eta in etas]
+    except ValueError as exc:
+        raise CliError(f"n range: {exc}")
+    rows = [(params.n, float(params.eta), analytics.p_t_full(params)) for params in grid]
 
     if args.format == "csv":
         _emit(_csv("n,eta,p_t_full", rows), args.out)

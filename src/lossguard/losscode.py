@@ -7,14 +7,18 @@ pair (CNOTs from the first ancilla, CZs from the second), reads the
 ancillae out in the X basis, and applies a conditional Pauli correction on
 the substituted rail.
 
-Circuit, readout and correction together are linear: for each loss
-position and ancilla readout, recovery is one fixed 16x8 map from the three
-surviving rails to the corrected four-rail state.  `branch_maps` compiles
-the four maps of a position once, from the circuit definition below.
+Every circuit here is a fixed linear map, compiled once by running basis
+states through `simcore.run_circuit`; there are two caches.  `_encoder` is
+the 16x16 encoding circuit: `encode` and `codewords` read its columns and
+`decode_amplitudes` its conjugate.  `_compile(position)` runs the recovery
+circuit on the eight surviving-rail basis states, giving one 16x8 map per
+ancilla readout, picks each readout's Pauli word with an exact code-space
+test, and returns the correction table with the corrected maps;
+`derive_correction_table` and `branch_maps` read from it.
 
-`recovery_images` and `corrected_block` apply them to a damaged block given
-as columns C with rho = C C^dagger: the two split columns of a pure block,
-or a factored density matrix.
+`recovery_images` and `corrected_block` apply the maps to a damaged block
+given as columns C with rho = C C^dagger: the two split columns of a pure
+block, or a factored density matrix.
 """
 
 from __future__ import annotations
@@ -37,17 +41,13 @@ from lossguard.simcore import (
     PureState,
     apply_gate,
     fidelity,
-    random_state,
-    tensor,
+    run_circuit,
 )
 
 DATA_QUBITS = 4
 ANCILLA_QUBITS = (4, 5)
 OUTCOMES = ("00", "01", "10", "11")
 PAULI_WORDS = ("I", "X", "Z", "XZ")
-
-_RAIL_KETS = [format(i, f"0{DATA_QUBITS}b") for i in range(1 << DATA_QUBITS)]
-_SURVIVOR_KETS = [format(i, f"0{DATA_QUBITS - 1}b") for i in range(1 << (DATA_QUBITS - 1))]
 
 CODE_SPACE_TOL = 1e-10
 RECOVERY_TOL = 1e-10
@@ -94,7 +94,7 @@ class RecoveryError(RuntimeError):
 
 
 class TableDerivationError(RuntimeError):
-    """No unique Pauli word restores every codeword for some outcome."""
+    """No unique Pauli word restores every code block for some outcome."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,33 +145,21 @@ def _check_position(loss_position: int) -> int:
     return position
 
 
+@lru_cache(maxsize=1)
+def _encoder() -> np.ndarray:
+    """The encoding circuit on all four wires, as a 16x16 unitary: column i
+    is basis state i run through ENCODING_GATES."""
+    matrix = run_circuit(ENCODING_GATES, np.eye(1 << DATA_QUBITS)).T
+    matrix.setflags(write=False)
+    return matrix
+
+
 def encode(logical: PureState) -> PureState:
     """Encode a two-qubit state onto the four rails."""
     if logical.num_qubits != 2:
         raise ValueError("encode expects a two-qubit logical state")
-    state = tensor(logical, PureState.basis("00"))
-    for gate in ENCODING_GATES:
-        state = apply_gate(state, gate)
-    return state
-
-
-def _circuit_matrix(gates: tuple[Gate, ...], inputs: list[str]) -> np.ndarray:
-    """Column i is the gate sequence applied to the basis state inputs[i]."""
-    columns = []
-    for bits in inputs:
-        state = PureState.basis(bits)
-        for gate in gates:
-            state = apply_gate(state, gate)
-        columns.append(state.amplitudes)
-    return np.column_stack(columns)
-
-
-@lru_cache(maxsize=1)
-def _decoder() -> np.ndarray:
-    """The inverse of the encoding circuit on all four wires, as a 16x16 matrix."""
-    matrix = _circuit_matrix(ENCODING_GATES[::-1], _RAIL_KETS)
-    matrix.setflags(write=False)
-    return matrix
+    # the logical wires are the high bits: |ab00> is column ab << 2
+    return PureState(DATA_QUBITS, _encoder()[:, ::4] @ logical.amplitudes)
 
 
 def decode_amplitudes(encoded: np.ndarray, tol: float = CODE_SPACE_TOL) -> np.ndarray:
@@ -180,7 +168,8 @@ def decode_amplitudes(encoded: np.ndarray, tol: float = CODE_SPACE_TOL) -> np.nd
     Raises CodeSpaceError when any row leaks more than `tol` of its weight
     onto the ancilla wires.
     """
-    grid = (encoded @ _decoder().T).reshape(-1, 4, 4)
+    # rows times the transpose of the inverse, _encoder()^dagger
+    grid = (encoded @ _encoder().conj()).reshape(-1, 4, 4)
     leak = np.sum(np.abs(grid[:, :, 1:]) ** 2, axis=(1, 2))
     if np.any(leak > tol):
         raise CodeSpaceError(f"ancilla wires not |00>: leaked weight {float(leak.max())!r}")
@@ -205,7 +194,6 @@ def in_code_space(state: PureState, tol: float = CODE_SPACE_TOL) -> bool:
     return True
 
 
-@lru_cache(maxsize=1)
 def codewords() -> tuple[Codeword, ...]:
     """The four encoded logical basis states."""
     return tuple(
@@ -223,23 +211,6 @@ def apply_pauli_word(state: PureState, word: str, qubit: int) -> PureState:
     return state
 
 
-@lru_cache(maxsize=DATA_QUBITS)
-def _circuit_maps(loss_position: int) -> np.ndarray:
-    """The recovery circuit before correction: one 16x8 map per ancilla readout.
-
-    Column i runs surviving-rail basis state i, with |0> at the lost rail and
-    the ancillae (the last two wires, hence the low index bits) in |00>.
-    """
-    inputs = [b[:loss_position] + "0" + b[loss_position:] + "00" for b in _SURVIVOR_KETS]
-    columns = _circuit_matrix(RECOVERY_GATES, inputs)
-    return columns.reshape(len(_RAIL_KETS), len(OUTCOMES), -1).transpose(1, 0, 2)
-
-
-@lru_cache(maxsize=len(PAULI_WORDS) * DATA_QUBITS)
-def _pauli_matrix(word: str, qubit: int) -> np.ndarray:
-    return np.column_stack([apply_pauli_word(PureState.basis(b), word, qubit).amplitudes for b in _RAIL_KETS])
-
-
 def branch_maps(loss_position: int) -> np.ndarray:
     """Compiled loss recovery at one position, shape (4, 16, 8).
 
@@ -248,15 +219,7 @@ def branch_maps(loss_position: int) -> np.ndarray:
     derive_correction_table folded in.  A damaged state rho goes to
     A rho A^dagger, whose trace is the probability of the readout.
     """
-    return _branch_maps(_check_position(loss_position))
-
-
-@lru_cache(maxsize=DATA_QUBITS)
-def _branch_maps(loss_position: int) -> np.ndarray:
-    words, raw = derive_correction_table(loss_position).entries, _circuit_maps(loss_position)
-    maps = np.stack([_pauli_matrix(words[o], loss_position) @ a for o, a in zip(OUTCOMES, raw)])
-    maps.setflags(write=False)
-    return maps
+    return _compile(_check_position(loss_position))[1]
 
 
 def recovery_images(columns: np.ndarray, loss_position: int) -> tuple[np.ndarray, list]:
@@ -356,46 +319,54 @@ def recover_forced(
     return _recover(damaged, loss_position, (outcome,), expected)[0]
 
 
-def _restores(word: str, loss_position: int, a: np.ndarray, rng: np.random.Generator) -> bool:
-    # The four codewords first, then three random superpositions, drawn only
-    # while the word still passes.  Tracing out the lost rail mixes the two
-    # corrected images of its values; that block, pure or mixed, is the
-    # input up to a phase only when all of its weight lies along the input.
-    corrected = _pauli_matrix(word, loss_position) @ a
-    superpositions = (encode(random_state(2, rng)) for _ in range(3))
-    for encoded in itertools.chain((c.state for c in codewords()), superpositions):
-        images = corrected @ encoded.amplitudes[SPLITS[loss_position]]
-        along = np.sum(np.abs(encoded.amplitudes.conj() @ images) ** 2)
-        if not abs(along / np.vdot(images, images).real - 1.0) <= RECOVERY_TOL:
-            return False
-    return True
+def _restores(corrected: np.ndarray, loss_position: int) -> bool:
+    """Whether a corrected readout map returns every code block, pure or mixed.
 
-
-def derive_correction_table(loss_position: int) -> CorrectionTable:
-    """Brute-force the outcome -> Pauli word table for one loss position.
-
-    For each ancilla outcome, search {I, X, Z, XZ} on the substituted rail
-    for the word that restores all four codewords and random superpositions
-    through the uncorrected circuit map.  Superpositions travel through both
-    values of the lost rail, which keep all relative phases, so they rule out
-    corrections that only fix the codewords up to inconsistent signs.
+    With C the codeword columns and C_b their rows where the lost rail is b,
+    that holds exactly when corrected @ C_b = lambda_b C for b = 0 and 1:
+    the residual may be at most RECOVERY_TOL of the total weight, itself > 0.
     """
-    return _derive_correction_table(_check_position(loss_position))
+    code = _encoder()[:, ::4]
+    halves = corrected @ code[SPLITS[loss_position].T]
+    scales = np.sum(code.conj() * halves, axis=(1, 2)) / code.shape[1]
+    residual = np.sum(np.abs(halves - scales[:, None, None] * code) ** 2)
+    total = np.sum(np.abs(halves) ** 2)
+    return bool(total > 0 and residual <= RECOVERY_TOL * total)
 
 
 @lru_cache(maxsize=DATA_QUBITS)
-def _derive_correction_table(loss_position: int) -> CorrectionTable:
-    rng = np.random.default_rng(20240 + loss_position)
-    entries: dict[str, str] = {}
-    for outcome, a in zip(OUTCOMES, _circuit_maps(loss_position)):
-        candidates = [w for w in PAULI_WORDS if _restores(w, loss_position, a, rng)]
+def _compile(loss_position: int) -> tuple[CorrectionTable, np.ndarray]:
+    """Correction table and corrected branch maps of one loss position.
+
+    The recovery circuit runs on the eight surviving-rail basis states, with
+    |0> at the lost rail and the ancillae (the low index bits) in |00>.  Per
+    readout, the one Pauli word passing _restores is the table entry.
+    """
+    inputs = np.eye(1 << (DATA_QUBITS + 2))[SPLITS[loss_position][:, 0] << 2]
+    # row i holds the 16 rail amplitudes of each of the 4 readouts; raw[m] is 16x8
+    raw = run_circuit(RECOVERY_GATES, inputs).reshape(len(inputs), -1, len(OUTCOMES)).T
+    paulis = {}
+    for word in PAULI_WORDS:
+        gates = [Gate(c, (loss_position,)) for c in reversed(word) if c != "I"]
+        paulis[word] = run_circuit(gates, np.eye(1 << DATA_QUBITS)).T
+    entries, maps = {}, []
+    for outcome, a in zip(OUTCOMES, raw):
+        corrected = {word: pauli @ a for word, pauli in paulis.items()}
+        candidates = [word for word, c in corrected.items() if _restores(c, loss_position)]
         if len(candidates) != 1:
-            raise TableDerivationError(
-                f"position {loss_position}, outcome {outcome}: "
-                f"{len(candidates)} candidate corrections {candidates}"
-            )
+            raise TableDerivationError(f"position {loss_position}, outcome {outcome}: {candidates}")
         entries[outcome] = candidates[0]
-    return CorrectionTable(loss_position, entries)
+        maps.append(corrected[candidates[0]])
+    stacked = np.stack(maps)
+    stacked.setflags(write=False)
+    return CorrectionTable(loss_position, entries), stacked
+
+
+def derive_correction_table(loss_position: int) -> CorrectionTable:
+    """Brute-force the outcome -> Pauli word table for one loss position:
+    per ancilla outcome, the one word of {I, X, Z, XZ} on the substituted
+    rail that returns every code block unchanged (see _restores)."""
+    return _compile(_check_position(loss_position))[0]
 
 
 def all_correction_tables() -> list[CorrectionTable]:

@@ -172,6 +172,17 @@ def apply_gate(state: PureState, gate: Gate) -> PureState:
     return PureState(state.num_qubits, u @ state.amplitudes)
 
 
+def run_circuit(gates, states: np.ndarray) -> np.ndarray:
+    """Run each row of amplitudes through the gates, one matvec per row per gate:
+    each row is bit-equal to apply_gate's, which a stacked matmul is not."""
+    states = np.array(states, dtype=complex, ndmin=2)
+    num_qubits = states.shape[1].bit_length() - 1
+    for gate in gates:
+        u = _checked_matrix(gate, num_qubits)
+        states = np.stack([u @ row for row in states])
+    return states
+
+
 def partial_trace(rho: DensityMatrix, qubit: int) -> DensityMatrix:
     """Trace out one qubit; the remaining wires keep their relative order."""
     n = rho.num_qubits
@@ -190,10 +201,6 @@ def fidelity(a: PureState, b: PureState) -> float:
     if a.num_qubits != b.num_qubits:
         raise ValueError("fidelity needs equal register sizes")
     return float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
-def tensor(a: PureState, b: PureState) -> PureState:
-    return PureState(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
 
 
 def random_state(num_qubits: int, rng: np.random.Generator) -> PureState:

@@ -4,7 +4,7 @@ The library runs loss recovery as compiled linear maps on state vectors.
 This module keeps the independent oracle the tests check those maps
 against: the recovery circuit applied gate by gate to a density matrix,
 fresh qubits embedded, ancillae projected, and the rank-one result turned
-back into a state vector.
+back into a state vector; and the Kronecker product of two pure states.
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ def apply_gate_dm(rho: DensityMatrix, gate: Gate) -> DensityMatrix:
     """Conjugate a density matrix by a gate's unitary."""
     u = _checked_matrix(gate, rho.num_qubits)
     return DensityMatrix(rho.num_qubits, u @ rho.matrix @ u.conj().T)
+
+
+def tensor(a: PureState, b: PureState) -> PureState:
+    return PureState(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
 
 
 def embed(rho: DensityMatrix, fresh: PureState, position: int) -> DensityMatrix:

@@ -56,6 +56,9 @@ def test_verify_flag_pairing_enforced(capsys):
     assert run_cli("verify", "--outcome", "01") == 2
     assert run_cli("verify", "--qubit-loss", "9", "--outcome", "01") == 2
     assert run_cli("verify", "--qubit-loss", "1", "--outcome", "21") == 2
+    # no random states would pass vacuously
+    assert run_cli("verify", "--states", "0") == 2
+    assert run_cli("verify", "--states", "-3") == 2
 
 
 def test_verify_list_tables(capsys):
@@ -194,6 +197,7 @@ def test_sweep_r_rejects_bad_ranges(tmp_path):
     assert run_cli("sweep-r", "--out", out, "--x-lo", "2.0", "--x-hi", "1.0") == 2
     assert run_cli("sweep-r", "--out", out, "--pt-lo", "0.0") == 2
     assert run_cli("sweep-r", "--out", out, "--pt-hi", "1.5") == 2
+    assert run_cli("sweep-r", "--out", out, "--x-hi", "inf") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +256,8 @@ def test_sweep_pt_rejects_bad_ranges(tmp_path):
     out = str(tmp_path / "pt.csv")
     assert run_cli("sweep-pt", "--out", out, "--n-lo", "0") == 2
     assert run_cli("sweep-pt", "--out", out, "--eta", "1.5") == 2
+    # n beyond TransponderParams' range is a usage error, not a traceback
+    assert run_cli("sweep-pt", "--out", out, "--n-hi", "100000000000000000000") == 2
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,16 @@ from lossguard.losscode import (
     CorrectionTable,
     RecoveryError,
 )
-from lossguard.simcore import DensityMatrix, PureState, fidelity, partial_trace, random_state
+from lossguard.simcore import (
+    DensityMatrix,
+    Gate,
+    PureState,
+    apply_gate,
+    fidelity,
+    partial_trace,
+    random_state,
+    run_circuit,
+)
 from reference import apply_gate_dm, embed, project, pure_from_density
 
 EXPECTED_TABLE = {"00": "I", "01": "X", "10": "Z", "11": "XZ"}
@@ -205,12 +214,12 @@ def test_loss_position_is_an_integer_even_once_cached(bad):
         losscode.branch_maps(bad)
     with pytest.raises(ValueError):
         losscode.recover_forced(damaged, bad, "01")
-    # the caches are keyed on the checked Python int: with positions 0..3 warm,
+    # the cache is keyed on the checked Python int: with positions 0..3 warm,
     # a numpy position takes no entry of its own and evicts nothing
     for position in range(4):
         losscode.derive_correction_table(position)
         losscode.branch_maps(position)
-    before = [f.cache_info() for f in (losscode._derive_correction_table, losscode._branch_maps)]
+    before = losscode._compile.cache_info()
     one = np.int64(1)
     assert losscode.derive_correction_table(one).entries == EXPECTED_TABLE
     assert np.array_equal(losscode.branch_maps(one), losscode.branch_maps(1))
@@ -218,29 +227,43 @@ def test_loss_position_is_an_integer_even_once_cached(bad):
     assert fidelity(branch.corrected_state, losscode.codewords()[1].state) == pytest.approx(1.0)
     losscode.derive_correction_table(0)
     losscode.branch_maps(0)
-    after = [f.cache_info() for f in (losscode._derive_correction_table, losscode._branch_maps)]
-    for old, new in zip(before, after):
-        assert new.misses == old.misses and new.hits > old.hits and new.currsize == 4
+    after = losscode._compile.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits and after.currsize == 4
 
 
 def test_branch_maps_reuse_the_maps_that_table_derivation_built():
     # the first recovery after set-up only multiplies cached maps, so its time
     # matches a warm one
     losscode.all_correction_tables()
-    cached = (losscode._circuit_maps, losscode._pauli_matrix)
-    before = [f.cache_info().misses for f in cached]
+    before = losscode._compile.cache_info()
     for position in range(4):
-        assert np.array_equal(losscode._branch_maps.__wrapped__(position), losscode.branch_maps(position))
-    assert [f.cache_info().misses for f in cached] == before
+        assert np.array_equal(losscode._compile.__wrapped__(position)[1], losscode.branch_maps(position))
+    after = losscode._compile.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 4, before.misses)
 
 
 def test_table_derivation_builds_no_density_matrix(monkeypatch):
-    def refuse(self):
-        raise AssertionError("table derivation built a DensityMatrix")
+    def refuse(*args, **kwargs):
+        raise AssertionError("table derivation built a DensityMatrix or drew random numbers")
 
     monkeypatch.setattr(DensityMatrix, "__post_init__", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
     for position in range(4):
-        assert losscode._derive_correction_table.__wrapped__(position).entries == EXPECTED_TABLE
+        table, _ = losscode._compile.__wrapped__(position)
+        assert table.entries == EXPECTED_TABLE
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_restores_refuses_a_map_that_flips_one_codeword(position):
+    # the corrected maps send each code block back to itself; composing one
+    # with I - 2 c3 c3^dagger flips the sign of the last codeword only, which
+    # every codeword on its own survives up to a phase, but superpositions do not
+    c3 = losscode.codewords()[3].state.amplitudes
+    flip = np.eye(16) - 2.0 * np.outer(c3, c3.conj())
+    for corrected in losscode.branch_maps(position):
+        assert losscode._restores(corrected, position)
+        assert not losscode._restores(flip @ corrected, position)
+        assert not losscode._restores(np.zeros_like(corrected), position)
 
 
 @pytest.mark.parametrize("position", range(4))
@@ -327,6 +350,21 @@ def test_recovery_rejects_wrong_register_size():
 
 # ---------------------------------------------------------------------------
 # supporting pieces
+
+
+@pytest.mark.parametrize(
+    "gates, num_qubits",
+    [(losscode.ENCODING_GATES, 4), (RECOVERY_GATES, 6), ((Gate("Z", (2,)), Gate("X", (2,))), 4)],
+    ids=["encoding", "recovery", "pauli-XZ"],
+)
+def test_run_circuit_is_bit_equal_to_gate_by_gate(gates, num_qubits):
+    # one matvec per row per gate: a stacked matmul leaves ~1e-19 where these give 0
+    rows = run_circuit(gates, np.eye(1 << num_qubits))
+    for i, row in enumerate(rows):
+        state = PureState.basis(format(i, f"0{num_qubits}b"))
+        for gate in gates:
+            state = apply_gate(state, gate)
+        assert np.array_equal(row, state.amplitudes)
 
 
 def test_apply_pauli_word_order():

@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end at small sizes; bench_pairs.py, which
-starts benchmark runs, is checked on canned numbers."""
+starts benchmark runs, and cli_bytes.py, which compares two trees, are checked on
+canned numbers and records."""
 
 import importlib.util
 import json
@@ -51,11 +52,15 @@ def test_scripts_and_sample_config_run(tmp_path):
     assert report["params"]["n"] == 160
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _bench_pairs():
+    return _load_script("bench_pairs")
 
 
 def test_bench_pairs_alternates_sides_and_summarizes_canned_runs():
@@ -89,3 +94,23 @@ def test_bench_pairs_alternates_sides_and_summarizes_canned_runs():
     assert pairs.change_wins([1.0, 2.0], [2.0, 2.0], "higher") == 1
     one = pairs.summary([7.0])
     assert (one["q1"], one["median"], one["q3"]) == (7.0, 7.0, 7.0)
+
+
+def test_cli_bytes_names_each_differing_field():
+    cli_bytes = _load_script("cli_bytes")
+    base = {"exit": 0, "stdout": b"wrote\n", "stderr": b"", "files": {"a.csv": b"1\n", "b.csv": b"2\n"}}
+    assert cli_bytes.compare(base, dict(base)) == []
+    change = {"exit": 2, "stdout": b"wrote\n", "stderr": b"error\n", "files": {"a.csv": b"1.0\n", "c.csv": b""}}
+    assert cli_bytes.compare(base, change) == ["exit", "stderr", "file a.csv", "file b.csv", "file c.csv"]
+    assert cli_bytes.compare(base, dict(base, stdout=b"")) == ["stdout"]
+
+
+def test_cli_bytes_threshold_run_matches_itself():
+    # a real run of this tree against itself, each in its own fresh directory
+    cli_bytes = _load_script("cli_bytes")
+    command, inputs = cli_bytes.commands()["threshold"]
+    first = cli_bytes.run_command(ROOT, command, inputs)
+    second = cli_bytes.run_command(ROOT, command, inputs)
+    assert first["exit"] == 0 and set(first["files"]) == {"threshold.json"}
+    assert b"break-even ancilla count: n = 56" in first["stdout"]
+    assert cli_bytes.compare(first, second) == []

@@ -15,9 +15,8 @@ from lossguard.simcore import (
     fidelity,
     partial_trace,
     random_state,
-    tensor,
 )
-from reference import apply_gate_dm, embed, project, pure_from_density
+from reference import apply_gate_dm, embed, project, pure_from_density, tensor
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
