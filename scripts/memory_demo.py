@@ -25,7 +25,7 @@ def main() -> None:
     ratio = analytics.r(params.x, p_t)
 
     bare = analytics.storage_time(params.alpha, params.nu)
-    improved = analytics.improved_storage_time(params.alpha, params.nu, ratio)
+    improved = bare / ratio
     print(f"loop: {params.d} km of fiber at alpha = {params.alpha:.5f} /km")
     print(f"bare half-decay time        : {bare * 1e6:9.3f} us")
     print(f"transponder p_t (n = {args.n})  : {p_t:.4f}")

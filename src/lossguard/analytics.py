@@ -8,6 +8,7 @@ alpha * d (fiber attenuation rate times stage separation).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import asdict, dataclass
 
@@ -21,7 +22,42 @@ TWO_QUBIT_GATE_COUNT = 16
 REDUCTION_LEVELS = ("raw", "i", "ii", "iii")
 
 X_SEARCH_LIMIT = 10.0
+_THRESHOLD_MAX_N = 10_000
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_BOOLS = (bool, np.bool_)
+_FLOAT_MAX = sys.float_info.max
+
+
+def check_count(name: str, value, lo: int, hi: float = math.inf) -> int:
+    """`value` as a Python int in [lo, hi), else a ValueError naming the field;
+    booleans fail, as does whatever `operator.index` refuses (1.5, 2.0, NaN, None)."""
+    try:
+        count = None if isinstance(value, _BOOLS) else operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or not lo <= count < hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
+    return count
+
+
+def check_real(name: str, value, lo: float, hi: float):
+    """`value` unchanged if it is a finite real number in [lo, hi], else a ValueError
+    naming the field: booleans, strings, None, NaN, infinities and integers beyond
+    float range fail.  The happy path is comparisons only, since the gate model is
+    checked once per chain stage."""
+    try:
+        if lo <= value <= hi and -_FLOAT_MAX <= value <= _FLOAT_MAX and not isinstance(value, _BOOLS):
+            return value
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be a finite number in [{lo}, {hi}], not booleans; got {value!r}")
+
+
+def _check_n(value, hi: float) -> int:
+    """The ancilla count n as an int in [1, hi); a float holding an integer counts."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return check_count("n", value, 1, hi)
 
 
 @dataclass(frozen=True)
@@ -45,24 +81,13 @@ class TransponderParams:
     nu: float = 2.0e5
 
     def __post_init__(self) -> None:
-        reals = (self.alpha, self.d, self.nu, self.eta, self.p_one, self.p_spg)
-        if any(isinstance(v, bool) for v in reals):
-            raise ValueError("alpha, d, nu, eta, p_one and p_spg must be numbers, not booleans")
-        # integers beyond float range are finite, but overflow once used as floats
-        if not all(abs(v) <= sys.float_info.max for v in (self.alpha, self.d, self.nu)):
-            raise ValueError("alpha, d and nu must be finite")
-        if self.alpha < 0 or self.d < 0:
-            raise ValueError("alpha and d must be nonnegative")
-        if self.nu <= 0:
+        for name, hi in (("alpha", math.inf), ("d", math.inf), ("nu", math.inf),
+                         ("eta", 1.0), ("p_one", 1.0), ("p_spg", 1.0)):
+            check_real(name, getattr(self, name), 0.0, hi)
+        if self.nu == 0:
             raise ValueError("nu must be positive")
         # above 2**53 the gate success n / (n + 1) rounds to 1; far above, floats overflow
-        if isinstance(self.n, bool) or not 1 <= self.n < 2**53 or int(self.n) != self.n:
-            raise ValueError(f"n must be an integer in [1, 2**53), got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
-        for name in ("eta", "p_one", "p_spg"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        object.__setattr__(self, "n", _check_n(self.n, 2**53))
 
     @property
     def x(self) -> float:
@@ -131,8 +156,7 @@ def f(x):
 
 def gate_success(n: int) -> float:
     """Success probability of a teleported two-qubit gate backed by n pairs."""
-    if not 1 <= n <= sys.float_info.max or int(n) != n:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    n = _check_n(n, sys.float_info.max)
     return (n / (n + 1.0)) ** 2
 
 
@@ -206,12 +230,16 @@ def min_r_over_x(p_t: float, tol: float = 1e-9) -> tuple[float, float]:
     return x_star, r(x_star, p_t)
 
 
-def threshold_n(tol: float = 1e-9, max_n: int = 10_000) -> int:
+def threshold_n(tol: float = 1e-9, max_n: int = _THRESHOLD_MAX_N) -> int:
     """Smallest n whose best ratio beats bare fiber: r(x, p_t) < 1 exactly when p_t >
     break_even_pt(x), so the first n with p_t_aggregate(n) above that curve's minimum."""
-    pt_star = min_break_even_pt(tol)[1]
+    return _first_n_above(min_break_even_pt(tol)[1], max_n)
+
+
+def _first_n_above(pt: float, max_n: int = _THRESHOLD_MAX_N) -> int:
+    """Smallest n <= max_n with p_t_aggregate(n) > pt."""
     for n in range(1, max_n + 1):
-        if p_t_aggregate(n) > pt_star:
+        if p_t_aggregate(n) > pt:
             return n
     raise RuntimeError(f"no break-even n found up to {max_n}")
 
@@ -238,9 +266,7 @@ def resources(n: int, reduction_level: str) -> ResourceCount:
     ii:   CNOTs rewritten as CZ plus one-qubit gates.
     iii:  each CZ teleported through 2n ancilla photons.
     """
-    if not 1 <= n < math.inf or int(n) != n:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    n = int(n)
+    n = _check_n(n, math.inf)
     if reduction_level not in REDUCTION_LEVELS:
         raise ValueError(f"unknown reduction level {reduction_level!r}")
     rows = {
@@ -255,13 +281,6 @@ def resources(n: int, reduction_level: str) -> ResourceCount:
 
 def storage_time(alpha: float, nu: float) -> float:
     """Bare half-attenuation dwell time of a fiber loop, 1 / (2 alpha nu)."""
-    if alpha <= 0 or nu <= 0:
+    if check_real("alpha", alpha, 0.0, math.inf) == 0 or check_real("nu", nu, 0.0, math.inf) == 0:
         raise ValueError("alpha and nu must be positive")
     return 1.0 / (2.0 * alpha * nu)
-
-
-def improved_storage_time(alpha: float, nu: float, r_value: float) -> float:
-    """Dwell time of the loss-corrected loop: bare time stretched by 1/r."""
-    if r_value <= 0:
-        raise ValueError("r must be positive")
-    return storage_time(alpha, nu) / r_value

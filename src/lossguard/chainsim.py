@@ -9,7 +9,6 @@ count, so results are reproducible bit for bit at any number of workers.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -17,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from lossguard import analytics, channel, losscode
-from lossguard.analytics import TransponderParams, p_f, p_t_full
+from lossguard.analytics import TransponderParams, check_count, p_f, p_t_full
 from lossguard.channel import (
     MODE_AGGREGATE,
     RAILS,
@@ -43,21 +42,10 @@ class ChainConfig:
     max_stage_evals: int = 50_000_000
 
     def __post_init__(self) -> None:
-        for name in ("num_stages", "trials", "seed", "max_cycles"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.num_stages < 1 or self.trials < 1:
-            raise ValueError("num_stages and trials must be >= 1")
+        for name in ("num_stages", "trials", "seed", "max_cycles", "max_stage_evals"):
+            lo = 0 if name == "seed" else 1
+            object.__setattr__(self, name, check_count(name, getattr(self, name), lo))
         channel.check_gate_model(self.mode, self.p_t_override)
-        if self.max_cycles < 1:
-            raise ValueError("max_cycles must be >= 1")
         if self.trials * self.num_stages > self.max_stage_evals:
             raise ValueError(
                 f"run of {self.trials} x {self.num_stages} stages exceeds the "

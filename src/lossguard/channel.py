@@ -9,14 +9,14 @@ line every stage, so its gates must fire whether or not a loss occurred.
 
 from __future__ import annotations
 
-import sys
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from lossguard import losscode
-from lossguard.analytics import TransponderParams, gate_devices, p_t_full, survival_prob
+from lossguard.analytics import TransponderParams, check_real, gate_devices, p_t_full, survival_prob
 from lossguard.simcore import PureState
 
 MODE_AGGREGATE = "aggregate_pt"
@@ -41,12 +41,8 @@ class SegmentModel:
     d: float
 
     def __post_init__(self) -> None:
-        if any(isinstance(v, bool) for v in (self.alpha, self.d)):
-            raise ValueError("alpha and d must be numbers, not booleans")
-        if not all(abs(v) <= sys.float_info.max for v in (self.alpha, self.d)):
-            raise ValueError("alpha and d must be finite")
-        if self.alpha < 0 or self.d < 0:
-            raise ValueError("alpha and d must be nonnegative")
+        check_real("alpha", self.alpha, 0.0, math.inf)
+        check_real("d", self.d, 0.0, math.inf)
 
     @cached_property
     def survival(self) -> float:
@@ -118,8 +114,7 @@ def check_gate_model(mode: str, p_t_override: float | None) -> None:
     if p_t_override is not None:
         if mode != MODE_AGGREGATE:
             raise ValueError("p_t_override only applies to aggregate_pt")
-        if isinstance(p_t_override, bool) or not 0.0 <= p_t_override <= 1.0:
-            raise ValueError("p_t_override must lie in [0, 1]")
+        check_real("p_t_override", p_t_override, 0.0, 1.0)
 
 
 def gates_succeed(

@@ -25,13 +25,15 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
+from lossguard.analytics import check_count
 from lossguard.simcore import (
     ZERO_BRANCH_TOL,
     DensityMatrix,
@@ -39,7 +41,6 @@ from lossguard.simcore import (
     ImpossibleBranchError,
     MeasurementRecord,
     PureState,
-    apply_gate,
     fidelity,
     run_circuit,
 )
@@ -105,12 +106,13 @@ class Codeword:
 
 @dataclass(frozen=True)
 class CorrectionTable:
-    """Measurement outcome -> Pauli word on the substituted rail."""
+    """Measurement outcome -> Pauli word on the substituted rail (a read-only copy)."""
 
     loss_position: int
-    entries: dict[str, str]
+    entries: Mapping[str, str]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         if set(self.entries) != set(OUTCOMES):
             raise ValueError(f"table must cover outcomes {OUTCOMES}")
         bad = set(self.entries.values()) - set(PAULI_WORDS)
@@ -133,16 +135,6 @@ class RecoveryOutcome:
     measurement: MeasurementRecord
     corrected_state: PureState
     applied_correction: str
-
-
-def _check_position(loss_position: int) -> int:
-    try:
-        position = None if isinstance(loss_position, bool) else operator.index(loss_position)
-    except TypeError:
-        position = None
-    if position is None or not 0 <= position < DATA_QUBITS:
-        raise ValueError(f"loss position must be 0..3, got {loss_position}")
-    return position
 
 
 @lru_cache(maxsize=1)
@@ -201,16 +193,6 @@ def codewords() -> tuple[Codeword, ...]:
     )
 
 
-def apply_pauli_word(state: PureState, word: str, qubit: int) -> PureState:
-    """Apply a product of Paulis, rightmost letter first, to one qubit."""
-    if word not in PAULI_WORDS:
-        raise ValueError(f"unknown Pauli word {word!r}")
-    for letter in reversed(word):
-        if letter != "I":
-            state = apply_gate(state, Gate(letter, (qubit,)))
-    return state
-
-
 def branch_maps(loss_position: int) -> np.ndarray:
     """Compiled loss recovery at one position, shape (4, 16, 8).
 
@@ -219,7 +201,7 @@ def branch_maps(loss_position: int) -> np.ndarray:
     derive_correction_table folded in.  A damaged state rho goes to
     A rho A^dagger, whose trace is the probability of the readout.
     """
-    return _compile(_check_position(loss_position))[1]
+    return _compile(check_count("loss position", loss_position, 0, DATA_QUBITS))[1]
 
 
 def recovery_images(columns: np.ndarray, loss_position: int) -> tuple[np.ndarray, list]:
@@ -366,14 +348,8 @@ def derive_correction_table(loss_position: int) -> CorrectionTable:
     """Brute-force the outcome -> Pauli word table for one loss position:
     per ancilla outcome, the one word of {I, X, Z, XZ} on the substituted
     rail that returns every code block unchanged (see _restores)."""
-    return _compile(_check_position(loss_position))[0]
+    return _compile(check_count("loss position", loss_position, 0, DATA_QUBITS))[0]
 
 
 def all_correction_tables() -> list[CorrectionTable]:
     return [derive_correction_table(pos) for pos in range(DATA_QUBITS)]
-
-
-def outcome_probabilities(damaged: DensityMatrix, loss_position: int) -> np.ndarray:
-    """Ancilla readout distribution; uniform 1/4 for any code-space input."""
-    _, weights = recovery_images(_factor(damaged), loss_position)
-    return np.array([sum(w) for w in weights])

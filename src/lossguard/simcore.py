@@ -166,15 +166,10 @@ def _checked_matrix(gate: Gate, num_qubits: int) -> np.ndarray:
     return _gate_matrix(gate.kind, gate.targets, num_qubits)
 
 
-def apply_gate(state: PureState, gate: Gate) -> PureState:
-    """Apply a gate to a pure state."""
-    u = _checked_matrix(gate, state.num_qubits)
-    return PureState(state.num_qubits, u @ state.amplitudes)
-
-
 def run_circuit(gates, states: np.ndarray) -> np.ndarray:
     """Run each row of amplitudes through the gates, one matvec per row per gate:
-    each row is bit-equal to apply_gate's, which a stacked matmul is not."""
+    each row is bit-equal to applying the gates to it one by one, which a
+    stacked matmul is not."""
     states = np.array(states, dtype=complex, ndmin=2)
     num_qubits = states.shape[1].bit_length() - 1
     for gate in gates:

@@ -1,16 +1,18 @@
 """Density-matrix reference engine for the tests.
 
-The library runs loss recovery as compiled linear maps on state vectors.
-This module keeps the independent oracle the tests check those maps
-against: the recovery circuit applied gate by gate to a density matrix,
-fresh qubits embedded, ancillae projected, and the rank-one result turned
-back into a state vector; and the Kronecker product of two pure states.
+The library runs circuits as compiled linear maps on state vectors.  This
+module keeps the independent oracle the tests check those maps against:
+gates applied one at a time to a pure state or a density matrix, fresh
+qubits embedded, ancillae projected, the rank-one result turned back into a
+state vector and a Pauli word applied letter by letter; and the Kronecker
+product of two pure states.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from lossguard.losscode import PAULI_WORDS
 from lossguard.simcore import (
     PSD_TOL,
     ZERO_BRANCH_TOL,
@@ -21,6 +23,22 @@ from lossguard.simcore import (
     PureState,
     _checked_matrix,
 )
+
+
+def apply_gate(state: PureState, gate: Gate) -> PureState:
+    """Apply a gate to a pure state."""
+    u = _checked_matrix(gate, state.num_qubits)
+    return PureState(state.num_qubits, u @ state.amplitudes)
+
+
+def apply_pauli_word(state: PureState, word: str, qubit: int) -> PureState:
+    """Apply a product of Paulis, rightmost letter first, to one qubit."""
+    if word not in PAULI_WORDS:
+        raise ValueError(f"unknown Pauli word {word!r}")
+    for letter in reversed(word):
+        if letter != "I":
+            state = apply_gate(state, Gate(letter, (qubit,)))
+    return state
 
 
 def apply_gate_dm(rho: DensityMatrix, gate: Gate) -> DensityMatrix:

@@ -1,6 +1,7 @@
 """Closed-form stage model: survival, effective attenuation, budgets."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,10 +14,11 @@ from lossguard.analytics import (
     TransponderParams,
     alpha_prime,
     break_even_pt,
+    check_count,
+    check_real,
     f,
     gate_success,
     golden_section_min,
-    improved_storage_time,
     min_break_even_pt,
     min_r_over_x,
     p_f,
@@ -136,7 +138,8 @@ def test_r_grows_as_gates_degrade():
 def test_gate_success_form():
     assert gate_success(1) == pytest.approx(0.25, abs=1e-15)
     assert gate_success(56) == pytest.approx(0.9652200677131424, rel=1e-12)
-    for bad in (0, 1.5, float("inf"), float("nan"), 10**400):
+    assert gate_success(2.0) == gate_success(2)
+    for bad in (0, 1.5, float("inf"), float("nan"), 10**400, True):
         with pytest.raises(ValueError):
             gate_success(bad)
 
@@ -260,9 +263,10 @@ def test_resource_row_with_teleported_gates_scales_with_n():
 
 
 def test_resources_validation_and_dict():
-    for bad in (0, 1.5, float("inf"), float("nan")):
+    for bad in (0, 1.5, float("inf"), float("nan"), True):
         with pytest.raises(ValueError):
             resources(bad, "raw")
+    assert resources(10**20, "iii").spg == 10 + 32 * 10**20
     with pytest.raises(ValueError):
         resources(4, "iv")
     d = resources(2, "raw").as_dict()
@@ -277,13 +281,11 @@ def test_resources_validation_and_dict():
 
 def test_storage_time_reference():
     assert storage_time(1.0 / 30.0, 2.0e5) == pytest.approx(7.5e-5, rel=1e-12)
-    assert improved_storage_time(1.0 / 30.0, 2.0e5, 0.5) == pytest.approx(
-        1.5e-4, rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        storage_time(0.0, 2.0e5)
-    with pytest.raises(ValueError):
-        improved_storage_time(0.1, 2.0e5, 0.0)
+    for bad in (0.0, -0.1, float("nan"), float("inf"), True, "0.1"):
+        with pytest.raises(ValueError):
+            storage_time(bad, 2.0e5)
+        with pytest.raises(ValueError):
+            storage_time(0.1, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +309,7 @@ def test_params_validation():
     assert params.x == pytest.approx(0.6, rel=1e-15)
 
 
-@pytest.mark.parametrize("bad", [True, False])
+@pytest.mark.parametrize("bad", [True, False, np.True_])
 @pytest.mark.parametrize("name", ["alpha", "d", "nu", "eta", "p_one", "p_spg"])
 def test_params_reject_booleans(name, bad):
     with pytest.raises(ValueError, match="booleans"):
@@ -325,3 +327,43 @@ def test_params_reject_non_finite_values(name, bad):
     kwargs[name] = bad
     with pytest.raises(ValueError):
         TransponderParams(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# the two input checks every constructor shares
+
+
+@pytest.mark.parametrize(
+    "bad", [True, np.True_, 1.5, 2.0, float("nan"), "1", None, [1], -1, 10], ids=repr
+)
+def test_check_count_refuses_with_value_error_naming_the_field(bad):
+    with pytest.raises(ValueError, match="widgets"):
+        check_count("widgets", bad, 0, 10)
+
+
+def test_check_count_returns_a_python_int():
+    for value in (0, 9, np.int64(3), np.uint8(7)):
+        count = check_count("widgets", value, 0, 10)
+        assert type(count) is int and count == value
+    assert check_count("widgets", 10**400, 1) == 10**400
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [True, False, np.True_, "0.5", None, [0.5], 1j, float("nan"), float("inf"), float("-inf"),
+     pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400"), -0.1],
+    ids=repr,
+)
+def test_check_real_refuses_with_value_error_naming_the_field(bad):
+    for hi in (1.0, float("inf")):
+        with pytest.raises(ValueError, match="widget_rate.*booleans"):
+            check_real("widget_rate", bad, 0.0, hi)
+
+
+def test_check_real_returns_its_input_unchanged():
+    for value in (0, 1, 0.0, 0.25, 1.0, np.float64(0.5), np.int64(1)):
+        assert check_real("widget_rate", value, 0.0, 1.0) is value
+    huge = int(sys.float_info.max)
+    assert check_real("widget_rate", huge, 0.0, float("inf")) is huge
+    with pytest.raises(ValueError):
+        check_real("widget_rate", 1.5, 0.0, 1.0)

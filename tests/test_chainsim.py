@@ -33,8 +33,8 @@ def test_config_validation():
         ChainConfig(params=MID_PARAMS, max_cycles=0)
     with pytest.raises(ValueError):
         ChainConfig(params=MID_PARAMS, trials=10**6, num_stages=10**6)
-    for name in ("trials", "num_stages", "seed", "max_cycles"):
-        for bad in (2.0, True):
+    for name in ("trials", "num_stages", "seed", "max_cycles", "max_stage_evals"):
+        for bad in (2.0, True, float("nan")):
             with pytest.raises(ValueError, match=name):
                 ChainConfig(params=MID_PARAMS, **{name: bad})
     with pytest.raises(ValueError, match="seed"):

@@ -39,7 +39,7 @@ def test_segment_model_survival():
         assert SegmentModel(alpha, d).survival == float(np.exp(-alpha * d))
     with pytest.raises(ValueError):
         SegmentModel(alpha=-0.1, d=10.0)
-    for flag in (True, False):
+    for flag in (True, False, np.True_):
         with pytest.raises(ValueError, match="booleans"):
             SegmentModel(alpha=flag, d=10.0)
         with pytest.raises(ValueError, match="booleans"):
@@ -171,7 +171,13 @@ def test_gates_succeed_override_rules():
 
 @pytest.mark.parametrize(
     "mode, override",
-    [(MODE_PER_GATE, 0.5), (MODE_AGGREGATE, 1.5), (MODE_AGGREGATE, True), ("other", None)],
+    [
+        (MODE_PER_GATE, 0.5),
+        (MODE_AGGREGATE, 1.5),
+        (MODE_AGGREGATE, True),
+        ("other", None),
+        (MODE_AGGREGATE, np.True_),
+    ],
 )
 def test_gate_model_rules_are_shared_by_config_and_coin(mode, override):
     rng = np.random.default_rng(0)

@@ -370,24 +370,31 @@ def test_run_config_rejects_override_with_per_gate_coins(tmp_path, command):
 
 
 _TEXT = st.text(max_size=4)
+_LIST = st.lists(st.integers(), max_size=2)
 _HUGE = st.integers(min_value=2**1100, max_value=2**1200)  # beyond float range
 _OUT_OF_RANGE = st.one_of(_HUGE, _HUGE.map(lambda v: -v))
-_COUNT = st.one_of(st.integers(max_value=0), st.floats(), st.booleans(), _TEXT, st.none())
+_COUNT = st.one_of(st.integers(max_value=0), st.floats(), st.booleans(), _TEXT, _LIST, st.none())
 _BAD_PROBABILITY = st.one_of(
-    st.floats().filter(lambda v: not 0.0 <= v <= 1.0), _OUT_OF_RANGE, st.booleans(), _TEXT, st.none()
+    st.floats().filter(lambda v: not 0.0 <= v <= 1.0),
+    _OUT_OF_RANGE,
+    st.booleans(),
+    _TEXT,
+    _LIST,
+    st.none(),
 )
 _BAD_NONNEGATIVE = st.one_of(
     st.floats().filter(lambda v: not (math.isfinite(v) and v >= 0.0)),
     _OUT_OF_RANGE,
     st.booleans(),
     _TEXT,
+    _LIST,
     st.none(),
 )
 _INVALID_FIELDS = {
     "trials": _COUNT,
     "num_stages": _COUNT,
     "max_cycles": _COUNT,
-    "seed": st.one_of(st.integers(max_value=-1), st.floats(), st.booleans(), _TEXT, st.none()),
+    "seed": st.one_of(st.integers(max_value=-1), st.floats(), st.booleans(), _TEXT, _LIST, st.none()),
     "mode": st.one_of(_TEXT.filter(lambda m: m not in MODES), st.integers(), st.none()),
     "p_t_override": _BAD_PROBABILITY.filter(lambda v: v is not None),
     "alpha": _BAD_NONNEGATIVE,
@@ -397,6 +404,7 @@ _INVALID_FIELDS = {
         _OUT_OF_RANGE,
         st.booleans(),
         _TEXT,
+        _LIST,
     ),
     "n": st.one_of(
         st.integers(max_value=0),
@@ -405,6 +413,7 @@ _INVALID_FIELDS = {
         st.booleans(),
         _OUT_OF_RANGE,
         _TEXT,
+        _LIST,
         st.none(),
     ),
     "eta": _BAD_PROBABILITY,
@@ -531,6 +540,25 @@ def test_threshold_report(capsys, tmp_path):
     assert report["threshold_n"] == 56
     assert report["ancilla_qubits_per_gate"] == 112
     assert report["p_t_at_threshold"] == pytest.approx(0.7533741965926746, rel=1e-12)
+
+
+def test_threshold_report_searches_the_break_even_curve_once(monkeypatch):
+    calls = []
+    search = analytics.golden_section_min
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(analytics, "golden_section_min", counting)
+    report = cli._threshold_report()
+    assert len(calls) == 1
+    assert report["threshold_n"] == analytics.threshold_n() == 56
+
+
+def test_correction_table_entries_serialize():
+    entries = losscode.derive_correction_table(1).entries
+    assert json.loads(cli._dumps(entries)) == {"00": "I", "01": "X", "10": "Z", "11": "XZ"}
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,11 @@ from lossguard.simcore import (
     ImpossibleBranchError,
     MeasurementRecord,
     PureState,
-    apply_gate,
     fidelity,
     partial_trace,
     random_state,
 )
-from reference import apply_gate_dm, embed, project, pure_from_density, tensor
+from reference import apply_gate, apply_gate_dm, embed, project, pure_from_density, tensor
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
