@@ -39,6 +39,8 @@ def commands() -> dict[str, tuple[list[str], dict[str, str]]]:
         "chain-config": (["chain", "--config", "chain.json", "--out", "rep.json"],
                          {"chain.json": chain_config}),
         "chain-threshold": (["chain", "--threshold"], {}),
+        "chain-ideal": (["chain", "--config", "ideal.json", "--trials", "400", "--seed", "3"],
+                        {"ideal.json": '{"alpha": 0.0, "p_t_override": 1.0}\n'}),
         "loop": (["loop", "--trials", "20000", "--seed", "11"], {}),
         "loop-per-gate": (["loop", "--mode", "per_gate", "--trials", "2000", "--seed", "13"], {}),
         "verify": (["verify"], {}),

@@ -45,7 +45,7 @@ class ChainConfig:
         for name in ("num_stages", "trials", "seed", "max_cycles", "max_stage_evals"):
             lo = 0 if name == "seed" else 1
             object.__setattr__(self, name, check_count(name, getattr(self, name), lo))
-        channel.check_gate_model(self.mode, self.p_t_override)
+        channel.coin_p_t(self.params, self.mode, self.p_t_override)
         if self.trials * self.num_stages > self.max_stage_evals:
             raise ValueError(
                 f"run of {self.trials} x {self.num_stages} stages exceeds the "
@@ -53,9 +53,7 @@ class ChainConfig:
             )
 
     def effective_p_t(self) -> float:
-        if self.p_t_override is not None:
-            return self.p_t_override
-        return p_t_full(self.params)
+        return channel.coin_p_t(self.params, MODE_AGGREGATE, self.p_t_override)
 
     def stage_success(self) -> float:
         """Closed-form per-stage (or per-cycle) success p_f * p_t."""
@@ -114,11 +112,6 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk + 1,)))
 
 
-def _aggregate_p_t(config: ChainConfig) -> float | None:
-    """The single gate coin's probability, or None for per-device coins."""
-    return config.effective_p_t() if config.mode == MODE_AGGREGATE else None
-
-
 def _chain_chunk(
     config: ChainConfig,
     encoded: PureState,
@@ -129,7 +122,7 @@ def _chain_chunk(
     """Totals over one chunk: first-stage successes, end-to-end successes,
     summed decoded fidelity of the survivors."""
     model = SegmentModel(config.params.alpha, config.params.d)
-    p_t = _aggregate_p_t(config)
+    p_t = channel.coin_p_t(config.params, config.mode, config.p_t_override)
     first_stage = 0
     survivors = []
     for _ in range(trials):
@@ -207,7 +200,8 @@ def run_chain(
     if survived == 0:
         emp_alpha_prime, censored = math.inf, True
     elif d > 0:
-        emp_alpha_prime, censored = -math.log(end_to_end) / (config.num_stages * d), False
+        # abs, not minus: every trial surviving gives +0.0, not -0.0
+        emp_alpha_prime, censored = abs(math.log(end_to_end)) / (config.num_stages * d), False
     else:
         emp_alpha_prime, censored = math.nan, False
     return ChainStats(
@@ -235,17 +229,13 @@ def _loop_chunk(config: ChainConfig, rng: np.random.Generator, trials: int) -> t
     2k - 1 to its square.
     """
     survival = SegmentModel(config.params.alpha, config.params.d).survival
-    p_t = _aggregate_p_t(config)
+    p_t = channel.coin_p_t(config.params, config.mode, config.p_t_override)
     live, total, total_sq = trials, 0, 0
     for cycle in range(1, config.max_cycles + 1):
         if not live:
             break
         kept = (rng.random((live, RAILS)) < survival).sum(axis=1) >= RAILS - 1
-        live = int(kept.sum())
-        if p_t is None:
-            live = int(channel.per_gate_coins(config.params, rng, live).sum())
-        else:
-            live = int((rng.random(live) < p_t).sum())
+        live = int(channel.gate_coins(config.params, p_t, rng, int(kept.sum())).sum())
         total += live
         total_sq += (2 * cycle - 1) * live
     return total, total_sq, live

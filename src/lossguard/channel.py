@@ -95,46 +95,29 @@ def transmit_segment(model: SegmentModel, rng: np.random.Generator) -> LossEvent
     return LossEvent(tuple((rng.random(RAILS) < model.survival).tolist()))
 
 
-def per_gate_coins(params: TransponderParams, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """Per-device gate coins for `rows` stages: True where every device fired.
-
-    Each row draws how many devices of each `gate_devices` kind failed and
-    fires where none did: P(no failure among k devices) = p**k, so this is
-    exact in distribution, in four draws per row for any device count.
-    """
-    probs, counts = zip(*gate_devices(params))
-    failures = rng.binomial(counts, 1.0 - np.array(probs), size=(rows, len(counts)))
-    return ~failures.any(axis=1)
-
-
-def check_gate_model(mode: str, p_t_override: float | None) -> None:
-    """Reject an unknown gate mode, or an override the mode cannot take."""
+def coin_p_t(params: TransponderParams, mode: str, p_t_override: float | None) -> float | None:
+    """The gate coin's probability: `p_t_override` if given, else p_t_full, or
+    None for per_gate's per-device coins.  Only aggregate_pt takes an override,
+    the one way to express ideal gates (the product is < 1 for every finite n)."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if p_t_override is not None:
         if mode != MODE_AGGREGATE:
             raise ValueError("p_t_override only applies to aggregate_pt")
-        check_real("p_t_override", p_t_override, 0.0, 1.0)
+        return check_real("p_t_override", p_t_override, 0.0, 1.0)
+    return p_t_full(params) if mode == MODE_AGGREGATE else None
 
 
-def gates_succeed(
-    params: TransponderParams,
-    rng: np.random.Generator,
-    mode: str = MODE_AGGREGATE,
-    p_t_override: float | None = None,
-) -> bool:
-    """Did every transponder device fire this stage?
-
-    aggregate_pt draws one coin at the full product probability; per_gate
-    draws each device kind's failures apart (`per_gate_coins`) so the
-    exponent bookkeeping can be cross-checked.  `p_t_override` replaces the
-    aggregate probability, which is the only way to express ideal gates (the
-    product is < 1 for every finite n).
-    """
-    check_gate_model(mode, p_t_override)
-    if mode == MODE_PER_GATE:
-        return bool(per_gate_coins(params, rng, 1)[0])
-    return bool(rng.random() < (p_t_full(params) if p_t_override is None else p_t_override))
+def gate_coins(params: TransponderParams, p_t: float | None, rng: np.random.Generator, rows=None):
+    """Did every device fire?  One bool, or one per stage for `rows` stages, from
+    the same stream as `rows` one-stage calls.  A float `p_t` is one coin per
+    stage; None draws how many devices of each `gate_devices` kind failed and
+    fires where none did, exact since P(no failure among k devices) = p**k."""
+    if p_t is not None:
+        return rng.random(rows) < p_t
+    probs, counts = zip(*gate_devices(params))
+    size = None if rows is None else (rows, len(counts))
+    return ~rng.binomial(counts, 1.0 - np.array(probs), size=size).any(axis=-1)
 
 
 def stage(
@@ -158,7 +141,7 @@ def stage(
     event = force_event if force_event is not None else transmit_segment(model, rng)
     if event.num_lost >= 2:
         return StageResult(STATUS_FAILED_MULTI, None, event)
-    if not gates_succeed(gate_model, rng, mode, p_t_override):
+    if not gate_coins(gate_model, coin_p_t(gate_model, mode, p_t_override), rng):
         return StageResult(STATUS_FAILED_GATES, None, event)
     if event.num_lost == 0:
         return StageResult(STATUS_INTACT, encoded, event)

@@ -37,6 +37,7 @@ DEFAULT_PARAMS = TransponderParams(
 
 SWEEP_PT_ETAS = (1.0, 1.0 - 1e-6, 1.0 - 1e-5, 1.0 - 10.0**-4.5)
 PT_REFERENCE = 0.75
+MAX_SWEEP_ROWS = 10**6  # sweep-r's default grid is 60,000 rows, sweep-pt's at most 800
 
 _PARAM_FIELDS = tuple(f.name for f in fields(TransponderParams))
 _RUN_FIELDS = ("trials", "num_stages", "seed", "mode", "p_t_override", "max_cycles")
@@ -94,9 +95,9 @@ def _csv(header: str, rows: list[tuple]) -> str:
 def _workers() -> int:
     raw = os.environ.get("LOSSGUARD_THREADS", "1")
     try:
-        return max(1, int(raw))
+        return analytics.check_count("LOSSGUARD_THREADS", int(raw), 1)
     except ValueError:
-        raise CliError(f"LOSSGUARD_THREADS must be an integer, got {raw!r}")
+        raise CliError(f"LOSSGUARD_THREADS must be an integer >= 1, got {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +254,12 @@ def cmd_verify(args) -> int:
 # sweeps
 
 
+def _check_rows(rows: int) -> None:
+    """Refuse a sweep of more than MAX_SWEEP_ROWS rows before any array is built."""
+    if rows > MAX_SWEEP_ROWS:
+        raise CliError(f"sweep of {rows} rows exceeds the limit of {MAX_SWEEP_ROWS}")
+
+
 def _grid(lo: float, hi: float, steps: int, log: bool, name: str) -> np.ndarray:
     if steps < 2:
         raise CliError(f"{name}: steps must be >= 2")
@@ -268,6 +275,7 @@ def _grid(lo: float, hi: float, steps: int, log: bool, name: str) -> np.ndarray:
 
 
 def cmd_sweep_r(args) -> int:
+    _check_rows(args.x_steps * args.pt_steps)
     xs = _grid(args.x_lo, args.x_hi, args.x_steps, log=True, name="x range")
     pts = _grid(args.pt_lo, args.pt_hi, args.pt_steps, log=False, name="p_t range")
     if args.pt_lo <= 0 or args.pt_hi > 1:
@@ -303,9 +311,10 @@ def cmd_sweep_pt(args) -> int:
         raise CliError("n range must satisfy 1 <= lo < hi")
     if args.n_steps < 2:
         raise CliError("n range: steps must be >= 2")
+    etas = tuple(args.eta) if args.eta else SWEEP_PT_ETAS
+    _check_rows(args.n_steps * len(etas))
     raw = np.exp(np.linspace(math.log(args.n_lo), math.log(args.n_hi), args.n_steps))
     ns = sorted(set(int(round(v)) for v in raw))
-    etas = tuple(args.eta) if args.eta else SWEEP_PT_ETAS
     try:
         grid = [TransponderParams(alpha=0.0, d=0.0, n=n, eta=eta) for n in ns for eta in etas]
     except ValueError as exc:

@@ -100,6 +100,7 @@ def test_run_chain_trivial_channel_never_fails():
     assert stats.end_to_end_success == 1.0
     assert stats.mean_fidelity_given_success == pytest.approx(1.0, abs=1e-10)
     assert stats.empirical_alpha_prime == 0.0
+    assert math.copysign(1.0, stats.empirical_alpha_prime) == 1.0
     assert not stats.alpha_prime_is_censored
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from lossguard import channel, losscode
+from lossguard import losscode
 from lossguard.analytics import TransponderParams, gate_devices, p_f, p_t_full, survival_prob
 from lossguard.chainsim import ChainConfig
 from lossguard.channel import (
@@ -19,7 +19,8 @@ from lossguard.channel import (
     LossEvent,
     SegmentModel,
     StageResult,
-    gates_succeed,
+    coin_p_t,
+    gate_coins,
     stage,
     transmit_segment,
 )
@@ -94,8 +95,9 @@ def test_transmit_segment_loss_counts_match_binomial():
 def test_gates_succeed_aggregate_rate():
     rng = np.random.default_rng(17)
     draws = 20_000
-    hits = sum(gates_succeed(PARAMS, rng) for _ in range(draws))
-    target = p_t_full(PARAMS)
+    target = coin_p_t(PARAMS, MODE_AGGREGATE, None)
+    assert target == p_t_full(PARAMS)
+    hits = sum(gate_coins(PARAMS, target, rng) for _ in range(draws))
     assert abs(hits / draws - target) < 4.0 * np.sqrt(target * (1 - target) / draws)
 
 
@@ -103,7 +105,8 @@ def test_gates_succeed_per_gate_rate():
     params = TransponderParams(alpha=0.0, d=0.0, n=200)
     rng = np.random.default_rng(23)
     draws = 5_000
-    hits = sum(gates_succeed(params, rng, MODE_PER_GATE) for _ in range(draws))
+    assert coin_p_t(params, MODE_PER_GATE, None) is None
+    hits = sum(gate_coins(params, None, rng) for _ in range(draws))
     target = p_t_full(params)
     assert abs(hits / draws - target) < 4.0 * np.sqrt(target * (1 - target) / draws)
 
@@ -129,7 +132,7 @@ LARGE_N = TransponderParams(alpha=0.0, d=0.0, n=10**5, eta=1.0 - 1e-7)
 def test_per_gate_coins_draw_failure_counts_per_device_kind():
     params = TransponderParams(alpha=0.0, d=0.0, n=20, eta=0.9999, p_one=0.999, p_spg=0.998)
     log = BinomialLog(4)
-    fired = channel.per_gate_coins(params, log, 1000)
+    fired = gate_coins(params, None, log, 1000)
     devices = gate_devices(params)
     assert log.calls == [
         ([count for _, count in devices], [1.0 - p for p, _ in devices], (1000, len(devices)))
@@ -142,7 +145,7 @@ def test_per_gate_coins_draw_failure_counts_per_device_kind():
 def test_per_gate_coins_fire_at_the_product_rate_for_large_n():
     rows = 20_000
     log = BinomialLog(31)
-    fired = channel.per_gate_coins(LARGE_N, log, rows)
+    fired = gate_coins(LARGE_N, None, log, rows)
     target = p_t_full(LARGE_N)
     assert 0.7 < target < 0.75
     assert abs(fired.mean() - target) <= 4.0 * np.sqrt(target * (1 - target) / rows)
@@ -156,17 +159,31 @@ def test_per_gate_coins_memory_does_not_grow_with_the_device_count():
     rng = np.random.default_rng(5)
     tracemalloc.start()
     try:
-        channel.per_gate_coins(LARGE_N, rng, 100)
+        gate_coins(LARGE_N, None, rng, 100)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("p_t", [0.7, None], ids=["aggregate", "per_gate"])
+def test_one_row_coins_draw_the_batched_stream(p_t):
+    # the stage draws one row per call and the loop draws many rows at once;
+    # both must read the same stream and leave the generator in the same state
+    rows = 300
+    singles, batched = np.random.default_rng(8), np.random.default_rng(8)
+    one_by_one = [gate_coins(LARGE_N, p_t, singles) for _ in range(rows)]
+    assert all(np.ndim(coin) == 0 for coin in one_by_one)
+    assert one_by_one == gate_coins(LARGE_N, p_t, batched, rows).tolist()
+    assert singles.bit_generator.state == batched.bit_generator.state
+    assert len(gate_coins(LARGE_N, p_t, singles, 0)) == 0
+    assert singles.bit_generator.state == batched.bit_generator.state
+
+
 def test_gates_succeed_override_rules():
     rng = np.random.default_rng(0)
-    assert gates_succeed(PARAMS, rng, p_t_override=1.0)
-    assert not gates_succeed(PARAMS, rng, p_t_override=0.0)
+    assert gate_coins(PARAMS, coin_p_t(PARAMS, MODE_AGGREGATE, 1.0), rng)
+    assert not gate_coins(PARAMS, coin_p_t(PARAMS, MODE_AGGREGATE, 0.0), rng)
 
 
 @pytest.mark.parametrize(
@@ -180,9 +197,8 @@ def test_gates_succeed_override_rules():
     ],
 )
 def test_gate_model_rules_are_shared_by_config_and_coin(mode, override):
-    rng = np.random.default_rng(0)
     with pytest.raises(ValueError) as coin:
-        gates_succeed(PARAMS, rng, mode, p_t_override=override)
+        coin_p_t(PARAMS, mode, override)
     with pytest.raises(ValueError) as config:
         ChainConfig(params=PARAMS, mode=mode, p_t_override=override)
     assert str(coin.value) == str(config.value)
@@ -335,7 +351,8 @@ class FixedDraws:
     def __init__(self, *values):
         self.values = list(values)
 
-    def random(self):
+    def random(self, size=None):
+        assert size is None
         return self.values.pop(0)
 
 
@@ -441,8 +458,8 @@ def test_aggregate_and_per_gate_agree_on_average():
     draws = 4_000
     rng_a = np.random.default_rng(55)
     rng_b = np.random.default_rng(56)
-    agg = sum(gates_succeed(params, rng_a, MODE_AGGREGATE) for _ in range(draws))
-    per = sum(gates_succeed(params, rng_b, MODE_PER_GATE) for _ in range(draws))
+    agg = sum(gate_coins(params, coin_p_t(params, MODE_AGGREGATE, None), rng_a) for _ in range(draws))
+    per = sum(gate_coins(params, coin_p_t(params, MODE_PER_GATE, None), rng_b) for _ in range(draws))
     p = p_t_full(params)
     sigma = np.sqrt(2 * p * (1 - p) / draws)
     assert abs(agg / draws - per / draws) < 4.0 * sigma

@@ -191,8 +191,11 @@ def test_sweep_r_bytes_match_the_per_point_reference(tmp_path):
         assert out.read_text(encoding="utf-8") == json_text
 
 
-def test_sweep_r_rejects_bad_ranges(tmp_path):
+def test_sweep_r_rejects_bad_ranges(tmp_path, capsys):
     out = str(tmp_path / "grid.csv")
+    # 10**12 cells: refused before any array is built, not a MemoryError
+    assert run_cli("sweep-r", "--out", out, "--x-steps", "1000000", "--pt-steps", "1000000") == 2
+    assert f"exceeds the limit of {cli.MAX_SWEEP_ROWS}" in capsys.readouterr().err
     assert run_cli("sweep-r", "--out", out, "--x-steps", "1") == 2
     assert run_cli("sweep-r", "--out", out, "--x-lo", "2.0", "--x-hi", "1.0") == 2
     assert run_cli("sweep-r", "--out", out, "--pt-lo", "0.0") == 2
@@ -252,8 +255,10 @@ def test_sweep_pt_json_carries_reference(tmp_path):
     assert all(set(row) == {"n", "eta", "p_t_full"} for row in payload["grid"])
 
 
-def test_sweep_pt_rejects_bad_ranges(tmp_path):
+def test_sweep_pt_rejects_bad_ranges(tmp_path, capsys):
     out = str(tmp_path / "pt.csv")
+    assert run_cli("sweep-pt", "--out", out, "--n-steps", "1000000000000") == 2
+    assert f"exceeds the limit of {cli.MAX_SWEEP_ROWS}" in capsys.readouterr().err
     assert run_cli("sweep-pt", "--out", out, "--n-lo", "0") == 2
     assert run_cli("sweep-pt", "--out", out, "--eta", "1.5") == 2
     # n beyond TransponderParams' range is a usage error, not a traceback
@@ -588,9 +593,11 @@ def test_import_pins_one_blas_thread_unless_set():
     assert pinned() == ["2", "1"]
 
 
-def test_threads_env_validation(monkeypatch, config_file):
-    monkeypatch.setenv("LOSSGUARD_THREADS", "soon")
-    assert run_cli("chain", "--config", config_file) == 2
+def test_threads_env_validation(monkeypatch, capsys, config_file):
+    for raw in ("soon", "0", "-4"):
+        monkeypatch.setenv("LOSSGUARD_THREADS", raw)
+        assert run_cli("chain", "--config", config_file) == 2
+        assert "LOSSGUARD_THREADS" in capsys.readouterr().err
 
 
 def test_threads_env_does_not_change_output(monkeypatch, tmp_path, config_file):
