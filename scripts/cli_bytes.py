@@ -56,6 +56,7 @@ def commands() -> dict[str, tuple[list[str], dict[str, str]]]:
         "resources": (["resources", "--all", "--n", "3", "--out", "resources.json"], {}),
         "usage-sweep-r-steps": (["sweep-r", "--out", "r.csv", "--x-steps", "1"], {}),
         "usage-config-key": (["chain", "--config", "bad.json"], {"bad.json": '{"bogus": 1}\n'}),
+        "usage-out-missing-dir": (["resources", "--n", "3", "--out", "missing/r.json"], {}),
     }
 
 

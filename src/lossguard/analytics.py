@@ -230,16 +230,12 @@ def min_r_over_x(p_t: float, tol: float = 1e-9) -> tuple[float, float]:
     return x_star, r(x_star, p_t)
 
 
-def threshold_n(tol: float = 1e-9, max_n: int = _THRESHOLD_MAX_N) -> int:
+def threshold_n(max_n: int = _THRESHOLD_MAX_N) -> int:
     """Smallest n whose best ratio beats bare fiber: r(x, p_t) < 1 exactly when p_t >
     break_even_pt(x), so the first n with p_t_aggregate(n) above that curve's minimum."""
-    return _first_n_above(min_break_even_pt(tol)[1], max_n)
-
-
-def _first_n_above(pt: float, max_n: int = _THRESHOLD_MAX_N) -> int:
-    """Smallest n <= max_n with p_t_aggregate(n) > pt."""
+    pt_star = min_break_even_pt()[1]
     for n in range(1, max_n + 1):
-        if p_t_aggregate(n) > pt:
+        if p_t_aggregate(n) > pt_star:
             return n
     raise RuntimeError(f"no break-even n found up to {max_n}")
 
@@ -252,10 +248,14 @@ def break_even_pt(x):
     return _scalarize(np.exp(-2.0 * x * (1.0 - f(x))))
 
 
-def min_break_even_pt(tol: float = 1e-9) -> tuple[float, float]:
-    """Lowest point of the break-even curve: (x at minimum, p_t there)."""
-    x_star = golden_section_min(break_even_pt, 1e-9, math.log(3.0), tol=tol)
-    return x_star, float(break_even_pt(x_star))
+def min_break_even_pt() -> tuple[float, float]:
+    """Lowest point of the break-even curve: (x at minimum, p_t there) = (ln 3/2, 3/4).
+
+    With u = e^x, break_even_pt(x) = e^x / (4 - 3e^-x) = u^2 / (4u - 3), whose
+    derivative 2u(2u - 3) / (4u - 3)^2 vanishes only at u = 3/2, where the curve
+    equals 3/4; in floats break_even_pt(log(1.5)) is 0.75 exactly.
+    """
+    return math.log(1.5), 0.75
 
 
 def resources(n: int, reduction_level: str) -> ResourceCount:

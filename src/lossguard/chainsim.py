@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -162,8 +161,9 @@ def _run_chunks(chunk_fn, args: tuple, config: ChainConfig, workers: int) -> lis
         args + (_chunk_rng(config.seed, k), min(_CHUNK, config.trials - lo))
         for k, lo in enumerate(range(0, config.trials, _CHUNK))
     ]
-    workers = _pool_size(workers, len(chunks), os.cpu_count())
+    workers = _pool_size(check_count("workers", workers, 1), len(chunks), os.cpu_count())
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(chunk_fn, *zip(*chunks)))
     return [chunk_fn(*chunk) for chunk in chunks]
@@ -182,8 +182,6 @@ def run_chain(
     decode the survivors, and tally success rates."""
     if logical is None:
         logical = random_state(2, _input_rng(config.seed))
-    elif logical.num_qubits != 2:
-        raise ValueError("logical input must be a two-qubit state")
     encoded = losscode.encode(logical)
 
     parts = _run_chunks(_chain_chunk, (config, encoded, logical), config, workers)

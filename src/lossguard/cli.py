@@ -3,7 +3,7 @@
 Subcommands: verify, sweep-r, sweep-pt, chain, loop, resources, threshold.
 All outputs are UTF-8 with LF line endings; floats are written with 17
 significant digits so files are bit-stable under a fixed --seed.  Exit
-codes: 0 success, 1 verification failure, 2 usage or config error.
+codes: 0 success, 1 verification failure, 2 usage, config or file error.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ DEFAULT_PARAMS = TransponderParams(
 )
 
 SWEEP_PT_ETAS = (1.0, 1.0 - 1e-6, 1.0 - 1e-5, 1.0 - 10.0**-4.5)
-PT_REFERENCE = 0.75
 MAX_SWEEP_ROWS = 10**6  # sweep-r's default grid is 60,000 rows, sweep-pt's at most 800
 
 _PARAM_FIELDS = tuple(f.name for f in fields(TransponderParams))
@@ -108,11 +107,7 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}")
-    try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CliError(
             f"config {path} is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -320,6 +315,7 @@ def cmd_sweep_pt(args) -> int:
     except ValueError as exc:
         raise CliError(f"bad grid point: {exc}")
     rows = [(params.n, float(params.eta), analytics.p_t_full(params)) for params in grid]
+    reference = analytics.min_break_even_pt()[1]
 
     if args.format == "csv":
         _emit(_csv("n,eta,p_t_full", rows), args.out)
@@ -327,10 +323,10 @@ def cmd_sweep_pt(args) -> int:
     else:
         payload = {
             "grid": [{"n": n, "eta": eta, "p_t_full": pt} for n, eta, pt in rows],
-            "reference_p_t": PT_REFERENCE,
+            "reference_p_t": reference,
         }
         _emit(_dumps(payload), args.out)
-    print(f"reference line: p_t = {_fmt(PT_REFERENCE)}")
+    print(f"reference line: p_t = {_fmt(reference)}")
     return 0
 
 
@@ -339,9 +335,8 @@ def cmd_sweep_pt(args) -> int:
 
 
 def _threshold_report() -> dict:
-    # analytics.threshold_n's rule, sharing its one search with the report
     x_star, pt_star = analytics.min_break_even_pt()
-    n_star = analytics._first_n_above(pt_star)
+    n_star = analytics.threshold_n()
     return {
         "threshold_n": n_star,
         "ancilla_qubits_per_gate": 2 * n_star,
@@ -548,7 +543,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

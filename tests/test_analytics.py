@@ -1,5 +1,6 @@
 """Closed-form stage model: survival, effective attenuation, budgets."""
 
+import inspect
 import math
 import sys
 
@@ -205,6 +206,17 @@ def test_break_even_pt_closed_form():
     x_star, pt_star = min_break_even_pt()
     assert x_star == pytest.approx(LN_3_HALVES, abs=1e-6)
     assert pt_star == pytest.approx(0.75, abs=1e-9)
+
+
+def test_break_even_minimum_is_exact():
+    assert min_break_even_pt() == (math.log(1.5), 0.75)
+    assert break_even_pt(math.log(1.5)) == 0.75
+    # the golden-section search the closed form replaced agrees with it
+    assert golden_section_min(break_even_pt, 1e-9, math.log(3.0)) == pytest.approx(LN_3_HALVES, abs=1e-6)
+    xs = np.linspace(0.0, math.log(3.0), 100_001)[1:]
+    assert break_even_pt(xs).min() >= 0.75 - 1e-15
+    for fn in (min_break_even_pt, threshold_n):
+        assert "tol" not in inspect.signature(fn).parameters
 
 
 def test_threshold_n_is_fifty_six():

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +78,30 @@ def test_pool_size_is_capped_by_cpus_and_chunks():
     assert chainsim._pool_size(4, 10**6, 64) == 4
     assert chainsim._pool_size(0, 10**6, 64) == 1
     assert chainsim._pool_size(10**6, 10**6, None) == 1
+
+
+@pytest.mark.parametrize("run", [run_chain, run_loop])
+@pytest.mark.parametrize("workers", [0, -3, True, 1.5, "2"])
+def test_workers_must_be_a_positive_integer(run, workers):
+    cfg = ChainConfig(params=MID_PARAMS, trials=20, seed=5)
+    with pytest.raises(ValueError, match="workers"):
+        run(cfg, workers=workers)
+
+
+def test_single_worker_runs_do_not_import_the_process_pool():
+    code = (
+        "import sys, lossguard\n"
+        "from lossguard.chainsim import ChainConfig, run_chain, run_loop\n"
+        "cfg = ChainConfig(params=lossguard.TransponderParams(alpha=0.1, d=1.0, n=4), trials=20)\n"
+        "run_chain(cfg, workers=1)\n"
+        "run_loop(cfg, workers=1)\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    src = str(Path(chainsim.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_run_chain_is_deterministic():

@@ -345,6 +345,26 @@ def test_chain_threshold_banner(capsys):
     assert "112 ancilla qubits" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-r"],
+        ["sweep-pt"],
+        ["threshold"],
+        ["resources"],
+        ["chain", "--trials", "20"],
+        ["loop", "--trials", "20"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(out) in err
+
+
 def test_chain_config_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -547,7 +567,7 @@ def test_threshold_report(capsys, tmp_path):
     assert report["p_t_at_threshold"] == pytest.approx(0.7533741965926746, rel=1e-12)
 
 
-def test_threshold_report_searches_the_break_even_curve_once(monkeypatch):
+def test_threshold_report_searches_the_break_even_curve_once(monkeypatch, tmp_path):
     calls = []
     search = analytics.golden_section_min
 
@@ -556,9 +576,11 @@ def test_threshold_report_searches_the_break_even_curve_once(monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(analytics, "golden_section_min", counting)
+    # the minimum is the closed form, so no command searches for it
     report = cli._threshold_report()
-    assert len(calls) == 1
     assert report["threshold_n"] == analytics.threshold_n() == 56
+    assert run_cli("sweep-r", "--out", str(tmp_path / "r.csv"), "--x-steps", "3", "--pt-steps", "2") == 0
+    assert len(calls) == 0
 
 
 def test_correction_table_entries_serialize():

@@ -1,4 +1,5 @@
-"""Source-level checks over src/lossguard: no unused import, no dead top-level code."""
+"""Source-level checks over src/lossguard: no unused import, no dead top-level code,
+no reach into another module's private names."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,16 @@ def test_every_top_level_definition_has_a_caller_in_src_or_is_exported():
         and node.name not in used | imported | set(lossguard.__all__)
     ]
     assert dead == []
+
+
+def test_no_module_reads_another_modules_private_names():
+    modules = {Path(name).stem for name in TREES}
+    reads = []
+    for name, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in modules and node.attr.startswith("_") and not node.attr.startswith("__"):
+                    reads.append(f"{name}: {node.value.id}.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lossguard"):
+                reads += [f"{name}: {node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    assert reads == []
