@@ -8,7 +8,8 @@ The base is the committed tree of ``--base``, unpacked with
 Each command runs as ``python -m lossguard ...`` once per side, in a fresh
 temporary directory, with PYTHONPATH set to that side's ``src`` and one BLAS
 thread.  Config files are written into the run directory and named
-relatively, so no path differs between the sides.  Exit code, stdout, stderr
+relatively, so no path differs between the sides; a config given as ``bytes``
+is written as those bytes, a ``str`` as UTF-8.  Exit code, stdout, stderr
 and the bytes of every file the command writes are compared; one line per
 command reads ``SAME name`` or ``DIFF name: <fields>``, and the exit code is
 1 when any command differs.  Stdlib only.
@@ -29,8 +30,8 @@ from bench_pairs import ROOT, unpack  # noqa: E402
 RUN_TIMEOUT_S = 600
 
 
-def commands() -> dict[str, tuple[list[str], dict[str, str]]]:
-    """name -> (argv after ``python -m lossguard``, {config file name: text})."""
+def commands() -> dict[str, tuple[list[str], dict[str, str | bytes]]]:
+    """name -> (argv after ``python -m lossguard``, {config file name: text or bytes})."""
     chain_config = (ROOT / "scripts" / "chain_config.json").read_text(encoding="utf-8")
     return {
         "chain": (["chain", "--trials", "20000", "--seed", "7"], {}),
@@ -57,18 +58,20 @@ def commands() -> dict[str, tuple[list[str], dict[str, str]]]:
         "usage-sweep-r-steps": (["sweep-r", "--out", "r.csv", "--x-steps", "1"], {}),
         "usage-config-key": (["chain", "--config", "bad.json"], {"bad.json": '{"bogus": 1}\n'}),
         "usage-out-missing-dir": (["resources", "--n", "3", "--out", "missing/r.json"], {}),
+        "usage-config-not-utf8": (["chain", "--config", "bad.json"], {"bad.json": b"\xff\xfe{}"}),
     }
 
 
-def run_command(tree: Path, argv: list[str], inputs: dict[str, str]) -> dict:
+def run_command(tree: Path, argv: list[str], inputs: dict[str, str | bytes]) -> dict:
     """One CLI run on `tree` in a fresh directory: exit code, stdout, stderr
     and {name: bytes} of every file it wrote."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory(prefix="cli-bytes-") as tmp:
         run_dir = Path(tmp)
-        for name, text in inputs.items():
-            (run_dir / name).write_text(text, encoding="utf-8")
+        for name, content in inputs.items():
+            data = content if isinstance(content, bytes) else content.encode("utf-8")
+            (run_dir / name).write_bytes(data)
         done = subprocess.run([sys.executable, "-m", "lossguard", *argv], cwd=run_dir, env=env,
                               capture_output=True, timeout=RUN_TIMEOUT_S)
         files = {

@@ -53,6 +53,17 @@ def check_real(name: str, value, lo: float, hi: float):
     raise ValueError(f"{name} must be a finite number in [{lo}, {hi}], not booleans; got {value!r}")
 
 
+def check_array(name: str, value, lo: float, hi: float = math.inf, *, open_lo: bool = False) -> np.ndarray:
+    """`value` as a float array whose every entry lies in [lo, hi], or (lo, hi] when
+    `open_lo`, else a ValueError naming the field and one offending entry; NaN fails."""
+    arr = np.asarray(value, dtype=float)
+    ok = ((arr > lo) if open_lo else (arr >= lo)) & (arr <= hi)
+    if not ok.all():
+        bounds = f"{'(' if open_lo else '['}{lo:g}, {hi:g}]"
+        raise ValueError(f"{name} must lie in {bounds}, got {float(arr[~ok][0])!r}")
+    return arr
+
+
 def _check_n(value, hi: float) -> int:
     """The ancilla count n as an int in [1, hi); a float holding an integer counts."""
     if isinstance(value, float) and value.is_integer():
@@ -116,29 +127,21 @@ def _scalarize(value: np.ndarray):
 
 def survival_prob(alpha, d):
     """Probability a photon survives distance d at attenuation rate alpha."""
-    alpha = np.asarray(alpha, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if np.any(alpha < 0) or np.any(d < 0):
-        raise ValueError("alpha and d must be nonnegative")
+    alpha = check_array("alpha", alpha, 0.0)
+    d = check_array("d", d, 0.0)
     return _scalarize(np.exp(-alpha * d))
 
 
 def p_f(p):
     """Probability a four-rail block arrives with at most one photon lost."""
-    p = np.asarray(p, dtype=float)
-    if np.any((p < 0) | (p > 1)):
-        raise ValueError("p must lie in [0, 1]")
+    p = check_array("p", p, 0.0, 1.0)
     return _scalarize(p**4 + 4 * p**3 * (1 - p))
 
 
 def alpha_prime(alpha, d):
     """Effective attenuation rate of the encoded channel with ideal gates."""
-    alpha = np.asarray(alpha, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if np.any(alpha < 0):
-        raise ValueError("alpha must be nonnegative")
-    if np.any(d <= 0):
-        raise ValueError("d must be positive")
+    alpha = check_array("alpha", alpha, 0.0)
+    d = check_array("d", d, 0.0, open_lo=True)
     return _scalarize(3 * alpha - np.log(4 - 3 * np.exp(-alpha * d)) / d)
 
 
@@ -148,9 +151,7 @@ def f(x):
     Rises from 0 through 1 at x = ln 3 toward the asymptote 3/2.  The
     expm1/log1p form keeps the x -> 0 limit finite without a series branch.
     """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("x must be positive")
+    x = check_array("x", x, 0.0, open_lo=True)
     return _scalarize(1.5 - np.log1p(3.0 * (-np.expm1(-x))) / (2.0 * x))
 
 
@@ -162,10 +163,8 @@ def gate_success(n: int) -> float:
 
 def r(x, p_t):
     """Encoded-to-bare attenuation ratio including transponder failures."""
+    p_t = check_array("p_t", p_t, 0.0, 1.0, open_lo=True)
     x = np.asarray(x, dtype=float)
-    p_t = np.asarray(p_t, dtype=float)
-    if np.any((p_t <= 0) | (p_t > 1)):
-        raise ValueError("p_t must lie in (0, 1]")
     return _scalarize(f(x) + (-np.log(p_t)) / (2.0 * x))
 
 
@@ -242,9 +241,7 @@ def threshold_n(max_n: int = _THRESHOLD_MAX_N) -> int:
 
 def break_even_pt(x):
     """Transponder success needed for r = 1 at normalized spacing x."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("x must be positive")
+    x = check_array("x", x, 0.0, open_lo=True)
     return _scalarize(np.exp(-2.0 * x * (1.0 - f(x))))
 
 

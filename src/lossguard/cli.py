@@ -39,12 +39,8 @@ SWEEP_PT_ETAS = (1.0, 1.0 - 1e-6, 1.0 - 1e-5, 1.0 - 10.0**-4.5)
 MAX_SWEEP_ROWS = 10**6  # sweep-r's default grid is 60,000 rows, sweep-pt's at most 800
 
 _PARAM_FIELDS = tuple(f.name for f in fields(TransponderParams))
+# each run flag stores to the field it sets; flags win over the config file
 _RUN_FIELDS = ("trials", "num_stages", "seed", "mode", "p_t_override", "max_cycles")
-# command-line flag -> the run field it sets; flags win over the config file
-_FLAG_FIELDS = {
-    "trials": "trials", "stages": "num_stages", "seed": "seed",
-    "mode": "mode", "max_cycles": "max_cycles",
-}
 
 
 class CliError(Exception):
@@ -112,6 +108,8 @@ def _load_config(path: str | None) -> dict:
         raise CliError(
             f"config {path} is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
+    except UnicodeDecodeError as exc:
+        raise CliError(f"config {path} is not UTF-8: {exc}")
     if not isinstance(raw, dict):
         raise CliError(f"config {path} must be a flat JSON object")
     allowed = set(_PARAM_FIELDS) | set(_RUN_FIELDS)
@@ -126,9 +124,8 @@ def _load_config(path: str | None) -> dict:
 
 def _build_run_config(args, raw: dict) -> chainsim.ChainConfig:
     run_kwargs = {"seed": 42} | {name: raw[name] for name in _RUN_FIELDS if name in raw}
-    for flag, name in _FLAG_FIELDS.items():
-        if getattr(args, flag, None) is not None:
-            run_kwargs[name] = getattr(args, flag)
+    run_kwargs |= {name: getattr(args, name) for name in _RUN_FIELDS
+                   if getattr(args, name, None) is not None}
     try:
         params = replace(DEFAULT_PARAMS, **{k: raw[k] for k in _PARAM_FIELDS if k in raw})
         config = chainsim.ChainConfig(params=params, **run_kwargs)
@@ -512,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser("chain", help="Monte Carlo over a transponder chain")
     _add_run_flags(p)
-    p.add_argument("--stages", type=int, help="stages in the chain")
+    p.add_argument("--stages", type=int, dest="num_stages", metavar="STAGES", help="stages in the chain")
     p.add_argument(
         "--threshold",
         action="store_true",

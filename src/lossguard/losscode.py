@@ -163,7 +163,7 @@ def decode_amplitudes(encoded: np.ndarray, tol: float = CODE_SPACE_TOL) -> np.nd
     # rows times the transpose of the inverse, _encoder()^dagger
     grid = (encoded @ _encoder().conj()).reshape(-1, 4, 4)
     leak = np.sum(np.abs(grid[:, :, 1:]) ** 2, axis=(1, 2))
-    if np.any(leak > tol):
+    if not np.all(leak <= tol):
         raise CodeSpaceError(f"ancilla wires not |00>: leaked weight {float(leak.max())!r}")
     logical = grid[:, :, 0]
     return logical / np.linalg.norm(logical, axis=1, keepdims=True)

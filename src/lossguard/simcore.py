@@ -26,16 +26,12 @@ _ONE_QUBIT = {
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
-_TWO_QUBIT = ("CNOT", "CZ")
-GATE_KINDS = tuple(_ONE_QUBIT) + _TWO_QUBIT
+_CONTROLLED = {"CNOT": "X", "CZ": "Z"}  # controlled kind -> the gate on its target
+GATE_KINDS = tuple(_ONE_QUBIT) + tuple(_CONTROLLED)
 
 
 class ImpossibleBranchError(ValueError):
     """Raised when a measurement branch of probability zero is requested."""
-
-
-def _bit(index: int, qubit: int, num_qubits: int) -> int:
-    return (index >> (num_qubits - 1 - qubit)) & 1
 
 
 def _check_register_size(num_qubits: int) -> None:
@@ -58,7 +54,7 @@ class PureState:
                 f"expected {1 << self.num_qubits} amplitudes, got {amps.shape}"
             )
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > ATOL:
+        if not abs(norm_sq - 1.0) <= ATOL:
             raise ValueError(f"state not normalized: sum |a|^2 = {norm_sq!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -89,12 +85,12 @@ class DensityMatrix:
         mat = np.array(self.matrix, dtype=complex)
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL:
+        if not np.max(np.abs(mat - mat.conj().T)) <= ATOL:
             raise ValueError("density matrix is not hermitian")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > ATOL:
+        if not abs(tr - 1.0) <= ATOL:
             raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-        if float(np.min(np.linalg.eigvalsh(mat))) < -PSD_TOL:
+        if not float(np.min(np.linalg.eigvalsh(mat))) >= -PSD_TOL:
             raise ValueError("density matrix has a negative eigenvalue")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -138,24 +134,13 @@ class MeasurementRecord:
 
 @lru_cache(maxsize=None)
 def _gate_matrix(kind: str, targets: tuple[int, ...], num_qubits: int) -> np.ndarray:
-    dim = 1 << num_qubits
-    if kind in _ONE_QUBIT:
-        (q,) = targets
-        full = np.kron(
-            np.kron(np.eye(1 << q), _ONE_QUBIT[kind]),
-            np.eye(1 << (num_qubits - q - 1)),
-        ).astype(complex)
-    else:
-        control, target = targets
-        full = np.zeros((dim, dim), dtype=complex)
-        target_mask = 1 << (num_qubits - 1 - target)
-        for i in range(dim):
-            if _bit(i, control, num_qubits) == 0:
-                full[i, i] = 1.0
-            elif kind == "CNOT":
-                full[i ^ target_mask, i] = 1.0
-            else:  # CZ
-                full[i, i] = -1.0 if _bit(i, target, num_qubits) else 1.0
+    """H, X or Z on the last target; a controlled kind keeps those rows only where
+    the control (the first target) reads 1, and identity rows elsewhere."""
+    q, u = targets[-1], _ONE_QUBIT[_CONTROLLED.get(kind, kind)]
+    full = np.kron(np.kron(np.eye(1 << q), u), np.eye(1 << (num_qubits - q - 1)))
+    if kind in _CONTROLLED:
+        on = (np.arange(1 << num_qubits) >> (num_qubits - 1 - targets[0])) & 1
+        full = np.where(on[:, None] == 1, full, np.eye(1 << num_qubits))
     full.setflags(write=False)
     return full
 

@@ -15,6 +15,7 @@ from lossguard.analytics import (
     TransponderParams,
     alpha_prime,
     break_even_pt,
+    check_array,
     check_count,
     check_real,
     f,
@@ -379,3 +380,39 @@ def test_check_real_returns_its_input_unchanged():
     assert check_real("widget_rate", huge, 0.0, float("inf")) is huge
     with pytest.raises(ValueError):
         check_real("widget_rate", 1.5, 0.0, 1.0)
+
+
+_VALID_ARGS = [
+    (survival_prob, (0.1, 1.0), "alpha"),
+    (survival_prob, (0.1, 1.0), "d"),
+    (p_f, (0.5,), "p"),
+    (alpha_prime, (0.1, 1.0), "alpha"),
+    (alpha_prime, (0.1, 1.0), "d"),
+    (f, (1.0,), "x"),
+    (r, (1.0, 0.9), "x"),
+    (r, (1.0, 0.9), "p_t"),
+    (break_even_pt, (1.0,), "x"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, name", [pytest.param(*case, id=f"{case[0].__name__}-{case[2]}") for case in _VALID_ARGS]
+)
+@pytest.mark.parametrize("shape", ["scalar", "array"])
+def test_closed_forms_refuse_nan_naming_the_argument(fn, args, name, shape):
+    slot = list(inspect.signature(fn).parameters).index(name)
+    bad = list(args)
+    bad[slot] = math.nan if shape == "scalar" else np.array([args[slot], math.nan])
+    with pytest.raises(ValueError, match=f"^{name} must lie in .*got nan$"):
+        fn(*bad)
+
+
+def test_check_array_bounds_and_offending_entry():
+    values = np.array([0.0, 0.5, 1.0])
+    assert check_array("widget_rate", values, 0.0, 1.0).tolist() == [0.0, 0.5, 1.0]
+    assert check_array("widget_rate", [2, 3], 0.0).dtype == float
+    assert check_array("widget_rate", np.inf, 0.0) == np.inf
+    with pytest.raises(ValueError, match=r"^widget_rate must lie in \(0, 1\], got 0.0$"):
+        check_array("widget_rate", values, 0.0, 1.0, open_lo=True)
+    with pytest.raises(ValueError, match=r"^widget_rate must lie in \[0, 1\], got 1.5$"):
+        check_array("widget_rate", [[0.5, 1.5], [2.5, 0.0]], 0.0, 1.0)

@@ -378,6 +378,13 @@ def test_chain_config_errors(tmp_path):
     assert run_cli("chain", "--config", str(tmp_path / "missing.json")) == 2
 
 
+def test_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert run_cli("chain", "--config", str(bad)) == 2
+    assert capsys.readouterr().err.startswith(f"error: config {bad} is not UTF-8: ")
+
+
 @pytest.mark.parametrize("command", ["chain", "loop"])
 @pytest.mark.parametrize("name", ["alpha", "d", "nu"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

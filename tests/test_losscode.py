@@ -99,6 +99,11 @@ def test_decode_rejects_states_outside_the_code():
     assert losscode.in_code_space(losscode.encode(PureState.basis("10")))
 
 
+def test_decode_rejects_nan_amplitudes():
+    with pytest.raises(CodeSpaceError):
+        losscode.decode_amplitudes(np.full((1, 16), np.nan))
+
+
 def test_in_code_space_honours_tol():
     # a small admixture of |0001> leaks about 1e-8 of the weight
     amps = losscode.encode(PureState.basis("10")).amplitudes.copy()

@@ -114,3 +114,13 @@ def test_cli_bytes_threshold_run_matches_itself():
     assert first["exit"] == 0 and set(first["files"]) == {"threshold.json"}
     assert b"break-even ancilla count: n = 56" in first["stdout"]
     assert cli_bytes.compare(first, second) == []
+
+
+def test_cli_bytes_writes_bytes_inputs_as_given():
+    # a non-UTF-8 config reaches the CLI byte for byte, and an input is not reported as output
+    cli_bytes = _load_script("cli_bytes")
+    command, inputs = cli_bytes.commands()["usage-config-not-utf8"]
+    assert inputs == {"bad.json": b"\xff\xfe{}"}
+    run = cli_bytes.run_command(ROOT, command, inputs)
+    assert run["exit"] == 2 and run["files"] == {} and run["stdout"] == b""
+    assert run["stderr"].startswith(b"error: config bad.json is not UTF-8: ")

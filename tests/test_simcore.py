@@ -14,6 +14,7 @@ from lossguard.simcore import (
     fidelity,
     partial_trace,
     random_state,
+    run_circuit,
 )
 from reference import apply_gate, apply_gate_dm, embed, project, pure_from_density, tensor
 
@@ -37,6 +38,14 @@ def test_basis_rejects_bad_strings():
 def test_purestate_requires_normalization():
     with pytest.raises(ValueError):
         PureState(1, np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_purestate_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError):
+        PureState(1, [bad, 0.0])
+    with pytest.raises(ValueError):
+        PureState(2, [0.5, 0.5, 0.5, bad])
 
 
 def test_purestate_amplitudes_are_read_only():
@@ -89,6 +98,37 @@ def test_gate_validation():
         apply_gate(PureState.basis("0"), Gate("X", (3,)))
 
 
+def _bit_rule(kind, targets, num_qubits, index):
+    """The image of basis state `index` under the gate, from the bit rules alone."""
+    masks = [1 << (num_qubits - 1 - t) for t in targets]
+    image = np.zeros(1 << num_qubits, dtype=complex)
+    if kind in ("CNOT", "CZ") and not index & masks[0]:
+        image[index] = 1.0
+    elif kind in ("X", "CNOT"):
+        image[index ^ masks[-1]] = 1.0
+    elif kind in ("Z", "CZ"):
+        image[index] = -1.0 if index & masks[-1] else 1.0
+    else:  # H
+        image[index & ~masks[0]] = 1 / np.sqrt(2)
+        image[index | masks[0]] = -1 / np.sqrt(2) if index & masks[0] else 1 / np.sqrt(2)
+    return image
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+def test_every_gate_maps_basis_states_by_its_bit_rule(num_qubits):
+    # every wire for H, X, Z and every ordered (control, target) pair for CNOT, CZ,
+    # so control > target and non-adjacent wires are covered
+    dim = 1 << num_qubits
+    wires = range(num_qubits)
+    gates = [Gate(kind, (q,)) for kind in ("H", "X", "Z") for q in wires]
+    gates += [Gate(kind, (c, t)) for kind in ("CNOT", "CZ") for c in wires for t in wires if c != t]
+    for gate in gates:
+        images = run_circuit([gate], np.eye(dim))
+        for index in range(dim):
+            expected = _bit_rule(gate.kind, gate.targets, num_qubits, index)
+            assert np.array_equal(images[index], expected), (gate, index)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seeds, st.sampled_from(["H", "X", "Z", "CNOT", "CZ"]))
 def test_every_gate_is_self_inverse(seed, kind):
@@ -119,6 +159,14 @@ def test_density_matrix_validation():
     bad = np.array([[1.5, 0.0], [0.0, -0.5]])
     with pytest.raises(ValueError):
         DensityMatrix(1, bad)  # negative eigenvalue
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0)])
+def test_density_matrix_rejects_nan_entries(entry):
+    mat = np.eye(2, dtype=complex) / 2
+    mat[entry] = np.nan
+    with pytest.raises(ValueError):
+        DensityMatrix(1, mat)
 
 
 @settings(max_examples=25, deadline=None)
