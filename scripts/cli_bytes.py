@@ -40,6 +40,7 @@ def commands() -> dict[str, tuple[list[str], dict[str, str | bytes]]]:
         "chain-config": (["chain", "--config", "chain.json", "--out", "rep.json"],
                          {"chain.json": chain_config}),
         "chain-threshold": (["chain", "--threshold"], {}),
+        "chain-threshold-out": (["chain", "--threshold", "--out", "t.json"], {}),
         "chain-ideal": (["chain", "--config", "ideal.json", "--trials", "400", "--seed", "3"],
                         {"ideal.json": '{"alpha": 0.0, "p_t_override": 1.0}\n'}),
         "loop": (["loop", "--trials", "20000", "--seed", "11"], {}),
@@ -56,6 +57,8 @@ def commands() -> dict[str, tuple[list[str], dict[str, str | bytes]]]:
         "threshold": (["threshold", "--out", "threshold.json"], {}),
         "resources": (["resources", "--all", "--n", "3", "--out", "resources.json"], {}),
         "usage-sweep-r-steps": (["sweep-r", "--out", "r.csv", "--x-steps", "1"], {}),
+        "usage-sweep-pt-n-range": (["sweep-pt", "--out", "pt.csv", "--n-lo", "5", "--n-hi", "5"],
+                                   {}),
         "usage-config-key": (["chain", "--config", "bad.json"], {"bad.json": '{"bogus": 1}\n'}),
         "usage-out-missing-dir": (["resources", "--n", "3", "--out", "missing/r.json"], {}),
         "usage-config-not-utf8": (["chain", "--config", "bad.json"], {"bad.json": b"\xff\xfe{}"}),

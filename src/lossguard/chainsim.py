@@ -103,7 +103,7 @@ class ModeComparison(_Report):
     agree_within_4_sigma: bool
 
 
-def _input_rng(seed: int) -> np.random.Generator:
+def input_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
 
 
@@ -181,7 +181,7 @@ def run_chain(
     """Encode once, push the block through num_stages stages per trial,
     decode the survivors, and tally success rates."""
     if logical is None:
-        logical = random_state(2, _input_rng(config.seed))
+        logical = random_state(2, input_rng(config.seed))
     encoded = losscode.encode(logical)
 
     parts = _run_chunks(_chain_chunk, (config, encoded, logical), config, workers)

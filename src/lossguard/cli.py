@@ -23,7 +23,7 @@ from lossguard import analytics, chainsim, losscode
 from lossguard.analytics import TransponderParams
 from lossguard.channel import MODES
 from lossguard.losscode import OUTCOMES, RecoveryError, TableDerivationError
-from lossguard.simcore import PureState, fidelity, random_state
+from lossguard.simcore import ATOL, PureState, fidelity, random_state
 
 DEFAULT_PARAMS = TransponderParams(
     alpha=1.0 / 30.0,
@@ -37,6 +37,7 @@ DEFAULT_PARAMS = TransponderParams(
 
 SWEEP_PT_ETAS = (1.0, 1.0 - 1e-6, 1.0 - 1e-5, 1.0 - 10.0**-4.5)
 MAX_SWEEP_ROWS = 10**6  # sweep-r's default grid is 60,000 rows, sweep-pt's at most 800
+MAX_VERIFY_STATES = 10**6  # ~0.55 ms per state: about 9 minutes at the bound
 
 _PARAM_FIELDS = tuple(f.name for f in fields(TransponderParams))
 # each run flag stores to the field it sets; flags win over the config file
@@ -72,12 +73,15 @@ def _dumps(obj) -> str:
     return json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None, what: str | None = None) -> None:
+    """Write text to stdout, or to the file out and then, if `what` names it, say so."""
     if out is None:
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        if what is not None:
+            print(f"wrote {what} to {out}")
 
 
 def _csv(header: str, rows: list[tuple]) -> str:
@@ -146,20 +150,19 @@ def _check_codeword_table() -> str | None:
         expected = (
             PureState.basis(ket_a).amplitudes + PureState.basis(ket_b).amplitudes
         ) / math.sqrt(2.0)
-        if not np.allclose(word.state.amplitudes, expected, atol=1e-12, rtol=0.0):
+        if not np.allclose(word.state.amplitudes, expected, atol=ATOL, rtol=0.0):
             return _dumps({"property": "codeword-table", "logical_bits": word.logical_bits})
     return None
 
 
 def _check_correction_tables() -> str | None:
     expected = {"00": "I", "01": "X", "10": "Z", "11": "XZ"}
-    for position in range(4):
-        table = losscode.derive_correction_table(position)
+    for table in losscode.all_correction_tables():
         if table.entries != expected:
             return _dumps(
                 {
                     "property": "correction-tables",
-                    "loss_position": position,
+                    "loss_position": table.loss_position,
                     "entries": table.entries,
                 }
             )
@@ -167,21 +170,21 @@ def _check_correction_tables() -> str | None:
 
 
 def _check_recovery(states: int, seed: int) -> str | None:
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    rng = chainsim.input_rng(seed)
     for index in range(states):
         logical = random_state(2, rng)
         encoded = losscode.encode(logical)
-        for position in range(4):
+        for position in range(losscode.DATA_QUBITS):
             where = {"state_index": index, "loss_position": position}
             columns = encoded.amplitudes[losscode.SPLITS[position]]
             images, weights = losscode.recovery_images(columns, position)
             probs = [sum(w) for w in weights]
-            if max(abs(p - 0.25) for p in probs) > 1e-12:
+            if not all(abs(p - 0.25) <= ATOL for p in probs):
                 return _dumps({"property": "outcome-uniformity", **where, "probabilities": probs})
             for outcome, branch, branch_weights in zip(OUTCOMES, images, weights):
                 kept = losscode.corrected_block(branch, branch_weights)
                 fid = fidelity(PureState(4, kept), encoded)
-                if fid < 1.0 - 1e-10:
+                if not fid >= 1.0 - losscode.RECOVERY_TOL:
                     return _dumps(
                         {
                             "property": "round-trip",
@@ -200,10 +203,12 @@ def cmd_verify(args) -> int:
         raise CliError("--seed must be >= 0")
     if args.states < 1:
         raise CliError("--states must be >= 1")
+    if args.states > MAX_VERIFY_STATES:
+        raise CliError(f"--states must be <= {MAX_VERIFY_STATES}")
     if (args.qubit_loss is None) != (args.outcome is None):
         raise CliError("--qubit-loss and --outcome must be given together")
     if args.qubit_loss is not None:
-        if args.qubit_loss not in range(4):
+        if args.qubit_loss not in range(losscode.DATA_QUBITS):
             raise CliError("--qubit-loss must be one of 0, 1, 2, 3")
         if args.outcome not in OUTCOMES:
             raise CliError(f"--outcome must be one of {', '.join(OUTCOMES)}")
@@ -281,11 +286,9 @@ def cmd_sweep_r(args) -> int:
         # _csv's bytes, each axis value formatted once: one row template, one % per x
         template = [""] + [f",{_fmt(pt)},%.17g\n" for pt in pt_list]
         rows = [_fmt(x).join(template) % tuple(r_row) for x, r_row in zip(x_list, grid)]
-        _emit("x,p_t,r\n" + "".join(rows), args.out)
+        _emit("x,p_t,r\n" + "".join(rows), args.out, f"{len(x_list) * len(pt_list)} rows")
         contour_path = str(Path(args.out).with_suffix(".contour.csv"))
-        _emit(_csv("x,p_t", contour), contour_path)
-        print(f"wrote {len(x_list) * len(pt_list)} rows to {args.out}")
-        print(f"wrote r = 1 contour to {contour_path}")
+        _emit(_csv("x,p_t", contour), contour_path, "r = 1 contour")
     else:
         payload = {
             "grid": [{"x": x, "p_t": pt, "r": rv}
@@ -299,14 +302,10 @@ def cmd_sweep_r(args) -> int:
 
 
 def cmd_sweep_pt(args) -> int:
-    if args.n_lo < 1 or args.n_lo >= args.n_hi:
-        raise CliError("n range must satisfy 1 <= lo < hi")
-    if args.n_steps < 2:
-        raise CliError("n range: steps must be >= 2")
     etas = tuple(args.eta) if args.eta else SWEEP_PT_ETAS
     _check_rows(args.n_steps * len(etas))
-    raw = np.exp(np.linspace(math.log(args.n_lo), math.log(args.n_hi), args.n_steps))
-    ns = sorted(set(int(round(v)) for v in raw))
+    n_axis = _grid(args.n_lo, args.n_hi, args.n_steps, log=True, name="n range")
+    ns = sorted(set(int(round(v)) for v in n_axis))
     try:
         grid = [TransponderParams(alpha=0.0, d=0.0, n=n, eta=eta) for n in ns for eta in etas]
     except ValueError as exc:
@@ -315,8 +314,7 @@ def cmd_sweep_pt(args) -> int:
     reference = analytics.min_break_even_pt()[1]
 
     if args.format == "csv":
-        _emit(_csv("n,eta,p_t_full", rows), args.out)
-        print(f"wrote {len(rows)} rows to {args.out}")
+        _emit(_csv("n,eta,p_t_full", rows), args.out, f"{len(rows)} rows")
     else:
         payload = {
             "grid": [{"n": n, "eta": eta, "p_t_full": pt} for n, eta, pt in rows],
@@ -341,19 +339,6 @@ def _threshold_report() -> dict:
         "required_p_t": pt_star,
         "optimal_x": x_star,
     }
-
-
-def _print_threshold(report: dict) -> None:
-    print(f"break-even ancilla count: n = {report['threshold_n']}")
-    print(
-        f"each teleported two-qubit gate then consumes "
-        f"{report['ancilla_qubits_per_gate']} ancilla qubits"
-    )
-    print(f"p_t at n = {report['threshold_n']}: {_fmt(report['p_t_at_threshold'])}")
-    print(
-        f"minimum usable p_t: {_fmt(report['required_p_t'])} "
-        f"at x = {_fmt(report['optimal_x'])}"
-    )
 
 
 def _analytic_chain(config: chainsim.ChainConfig) -> dict:
@@ -401,16 +386,13 @@ def _run_report(args, command: str, run, analytic) -> int:
         "empirical": run(config, workers=_workers()).to_dict(),
         "analytic": analytic(config),
     }
-    _emit(_dumps(report), args.out)
-    if args.out is not None:
-        print(f"wrote report to {args.out}")
+    _emit(_dumps(report), args.out, "report")
     return 0
 
 
 def cmd_chain(args) -> int:
     if args.threshold:
-        _print_threshold(_threshold_report())
-        return 0
+        return cmd_threshold(args)
     return _run_report(args, "chain", chainsim.run_chain, _analytic_chain)
 
 
@@ -440,17 +422,20 @@ def cmd_resources(args) -> int:
     for row in table:
         print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
     if args.out is not None:
-        _emit(_dumps([c.as_dict() | {"n": args.n} for c in counts]), args.out)
-        print(f"wrote report to {args.out}")
+        _emit(_dumps([c.as_dict() | {"n": args.n} for c in counts]), args.out, "report")
     return 0
 
 
 def cmd_threshold(args) -> int:
     report = _threshold_report()
-    _print_threshold(report)
+    print(f"break-even ancilla count: n = {report['threshold_n']}")
+    print(f"each teleported two-qubit gate then consumes "
+          f"{report['ancilla_qubits_per_gate']} ancilla qubits")
+    print(f"p_t at n = {report['threshold_n']}: {_fmt(report['p_t_at_threshold'])}")
+    print(f"minimum usable p_t: {_fmt(report['required_p_t'])} "
+          f"at x = {_fmt(report['optimal_x'])}")
     if args.out is not None:
-        _emit(_dumps(report), args.out)
-        print(f"wrote report to {args.out}")
+        _emit(_dumps(report), args.out, "report")
     return 0
 
 

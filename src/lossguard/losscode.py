@@ -158,7 +158,7 @@ def decode_amplitudes(encoded: np.ndarray, tol: float = CODE_SPACE_TOL) -> np.nd
     """Decode rows of four-rail amplitudes to normalized two-qubit amplitudes.
 
     Raises CodeSpaceError when any row leaks more than `tol` of its weight
-    onto the ancilla wires.
+    onto the ancilla wires, or has no weight to normalize.
     """
     # rows times the transpose of the inverse, _encoder()^dagger
     grid = (encoded @ _encoder().conj()).reshape(-1, 4, 4)
@@ -166,7 +166,10 @@ def decode_amplitudes(encoded: np.ndarray, tol: float = CODE_SPACE_TOL) -> np.nd
     if not np.all(leak <= tol):
         raise CodeSpaceError(f"ancilla wires not |00>: leaked weight {float(leak.max())!r}")
     logical = grid[:, :, 0]
-    return logical / np.linalg.norm(logical, axis=1, keepdims=True)
+    norms = np.linalg.norm(logical, axis=1, keepdims=True)
+    if not np.all(norms > 0):
+        raise CodeSpaceError("a row has zero norm")
+    return logical / norms
 
 
 def decode(encoded: PureState) -> PureState:
@@ -217,7 +220,7 @@ def corrected_block(images: np.ndarray, weights: list[float]) -> np.ndarray:
     Raises RecoveryError when more than RECOVERY_TOL of the readout's weight
     lies off that image, i.e. when images images^dagger is not pure."""
     total = sum(weights)
-    if total <= ZERO_BRANCH_TOL:
+    if not total > ZERO_BRANCH_TOL:
         raise ImpossibleBranchError(f"readout has probability {total!r}")
     k = weights.index(max(weights))
     kept, weight = images[:, k], weights[k]
@@ -225,7 +228,7 @@ def corrected_block(images: np.ndarray, weights: list[float]) -> np.ndarray:
     for j in range(len(weights)):
         if j != k:
             off -= abs(np.vdot(kept, images[:, j])) ** 2 / weight
-    if off > RECOVERY_TOL * total:
+    if not off <= RECOVERY_TOL * total:
         raise RecoveryError(f"post-measurement state not pure: mixed weight {off / total:.3g}")
     return kept / math.sqrt(weight)
 
@@ -264,7 +267,7 @@ def _recover(
         state = PureState(DATA_QUBITS, corrected_block(images[m], weights[m]))
         if expected is not None:
             fid = fidelity(state, expected)
-            if fid < 1.0 - RECOVERY_TOL:
+            if not fid >= 1.0 - RECOVERY_TOL:
                 raise RecoveryError(f"outcome {outcome} recovered with fidelity {fid!r}")
         record = MeasurementRecord(ANCILLA_QUBITS, tuple(int(b) for b in outcome), sum(weights[m]))
         branches.append(RecoveryOutcome(record, state, words[outcome]))

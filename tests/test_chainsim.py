@@ -67,7 +67,7 @@ def test_chunk_rngs_decorrelate_by_seed_and_chunk():
     a = chainsim._chunk_rng(1, 0).random()
     b = chainsim._chunk_rng(1, 1).random()
     c = chainsim._chunk_rng(2, 0).random()
-    logical = chainsim._input_rng(1).random()
+    logical = chainsim.input_rng(1).random()
     assert len({a, b, c, logical}) == 4
     assert chainsim._chunk_rng(1, 0).random() == a
 

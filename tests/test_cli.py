@@ -84,6 +84,31 @@ def test_verify_failure_serializes_counterexample(monkeypatch, capsys):
     assert detail["loss_position"] == 0
 
 
+def test_verify_fails_closed_on_nan_readout_weights(monkeypatch, capsys):
+    images = losscode.recovery_images
+
+    def nan_weights(columns, position):
+        branches, weights = images(columns, position)
+        return branches, [[math.nan] * len(w) for w in weights]
+
+    monkeypatch.setattr(losscode, "recovery_images", nan_weights)
+    assert run_cli("verify", "--states", "2") == 1
+    captured = capsys.readouterr()
+    assert "FAIL round-trip" in captured.out
+    detail = json.loads(captured.err)
+    assert detail["property"] == "outcome-uniformity"
+    assert (detail["state_index"], detail["loss_position"]) == (0, 0)
+
+
+def test_verify_refuses_more_states_than_the_bound(monkeypatch, capsys):
+    def no_draw(*args):
+        raise AssertionError("verify drew a state before checking --states")
+
+    monkeypatch.setattr(cli, "random_state", no_draw)
+    assert run_cli("verify", "--states", str(cli.MAX_VERIFY_STATES + 1)) == 2
+    assert capsys.readouterr().err == f"error: --states must be <= {cli.MAX_VERIFY_STATES}\n"
+
+
 # ---------------------------------------------------------------------------
 # sweep-r
 
@@ -265,6 +290,23 @@ def test_sweep_pt_rejects_bad_ranges(tmp_path, capsys):
     assert run_cli("sweep-pt", "--out", out, "--n-hi", "100000000000000000000") == 2
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n-lo", "5", "--n-hi", "5"], "n range: need lo < hi, got [5, 5]"),
+        (["--n-lo", "0"], "n range: log grid needs lo > 0"),
+        (["--n-lo", "-3"], "n range: log grid needs lo > 0"),
+        (["--n-steps", "1"], "n range: steps must be >= 2"),
+    ],
+    ids=["empty", "zero", "negative", "one-step"],
+)
+def test_sweep_pt_n_range_follows_the_grid_rules(tmp_path, capsys, flags, message):
+    out = tmp_path / "pt.csv"
+    assert run_cli("sweep-pt", "--out", str(out), *flags) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # chain / loop
 
@@ -345,6 +387,15 @@ def test_chain_threshold_banner(capsys):
     assert "112 ancilla qubits" in out
 
 
+def test_chain_threshold_is_the_threshold_command(tmp_path, capsys):
+    assert run_cli("threshold", "--out", str(tmp_path / "t.json")) == 0
+    threshold = capsys.readouterr().out
+    assert run_cli("chain", "--threshold", "--out", str(tmp_path / "c.json")) == 0
+    chain = capsys.readouterr().out
+    assert chain == threshold.replace("t.json", "c.json")
+    assert (tmp_path / "c.json").read_bytes() == (tmp_path / "t.json").read_bytes()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -363,6 +414,32 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert str(out) in err
+
+
+@pytest.mark.parametrize(
+    "argv, notices",
+    [
+        (["sweep-r", "--x-steps", "3", "--pt-steps", "2", "--out", "r.csv"],
+         ["wrote 6 rows to r.csv", "wrote r = 1 contour to r.contour.csv"]),
+        (["sweep-r", "--x-steps", "3", "--pt-steps", "2", "--format", "json", "--out", "r.json"],
+         []),
+        (["sweep-pt", "--n-lo", "16", "--n-hi", "160", "--n-steps", "2", "--out", "pt.csv"],
+         ["wrote 8 rows to pt.csv"]),
+        (["sweep-pt", "--n-steps", "2", "--format", "json", "--out", "pt.json"], []),
+        (["threshold", "--out", "t.json"], ["wrote report to t.json"]),
+        (["resources", "--out", "res.json"], ["wrote report to res.json"]),
+        (["chain", "--trials", "20", "--out", "chain.json"], ["wrote report to chain.json"]),
+        (["loop", "--trials", "20", "--out", "loop.json"], ["wrote report to loop.json"]),
+    ],
+    ids=["sweep-r-csv", "sweep-r-json", "sweep-pt-csv", "sweep-pt-json", "threshold", "resources",
+         "chain", "loop"],
+)
+def test_each_written_file_is_announced_once(tmp_path, monkeypatch, capsys, argv, notices):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 0
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("wrote")] == notices
+    assert all((tmp_path / line.split(" to ")[-1]).exists() for line in notices)
 
 
 def test_chain_config_errors(tmp_path):

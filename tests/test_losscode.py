@@ -1,5 +1,7 @@
 """Encoding, heralded-loss recovery, and correction-table derivation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from lossguard.losscode import (
 from lossguard.simcore import (
     DensityMatrix,
     Gate,
+    ImpossibleBranchError,
     PureState,
     fidelity,
     partial_trace,
@@ -102,6 +105,12 @@ def test_decode_rejects_states_outside_the_code():
 def test_decode_rejects_nan_amplitudes():
     with pytest.raises(CodeSpaceError):
         losscode.decode_amplitudes(np.full((1, 16), np.nan))
+
+
+def test_decode_rejects_a_zero_row():
+    # it leaks nothing, but there is no logical state to normalize
+    with pytest.raises(CodeSpaceError):
+        losscode.decode_amplitudes(np.zeros((1, 16), complex))
 
 
 def test_in_code_space_honours_tol():
@@ -362,6 +371,83 @@ def test_recovery_rejects_wrong_register_size():
     wrong = PureState.basis("00").to_density_matrix()
     with pytest.raises(ValueError):
         losscode.recovery_branches(wrong, 0)
+
+
+# ---------------------------------------------------------------------------
+# the recovery kernel: recovery_images, corrected_block, draw_readout
+
+
+class FixedUniform:
+    """Stands in for a Generator whose next uniform draw is `u`."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_draw_readout_picks_the_interval_of_the_uniform():
+    for u in (0.0, 0.1, 0.3, 0.49, 0.6, 0.8, 0.99):
+        assert losscode.draw_readout([0.25] * 4, FixedUniform(u)) == math.floor(4 * u)
+    # a uniform exactly on a bound belongs to the interval on its right
+    for m, u in enumerate((0.25, 0.5, 0.75), start=1):
+        assert losscode.draw_readout([0.25] * 4, FixedUniform(u)) == m
+
+
+def test_draw_readout_reads_the_last_bound_as_one():
+    # the normalized cumulative sum of these ends at 1 - 2**-53, the largest
+    # uniform there is; the last readout must still take it
+    probs, top = [0.1, 0.1, 0.6], math.nextafter(1.0, 0.0)
+    assert sum(p / sum(probs) for p in probs) == top
+    assert losscode.draw_readout(probs, FixedUniform(top)) == 2
+
+
+@pytest.mark.parametrize("probs", [[0, 0.5, 0.5, 0], [0.5, 0, 0, 0.5], [0, 0, 1.0, 0]])
+def test_draw_readout_never_draws_a_zero_weight_readout(probs):
+    uniforms = [0.0, 0.25, 0.5, 0.75, 1.0 - 1e-12, math.nextafter(1.0, 0.0)]
+    drawn = {losscode.draw_readout(probs, FixedUniform(u)) for u in uniforms}
+    assert all(probs[m] > 0 for m in drawn)
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_recovery_images_weights_are_the_squared_column_norms(position):
+    rng = np.random.default_rng(70 + position)
+    columns = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+    images, weights = losscode.recovery_images(columns, position)
+    maps = losscode.branch_maps(position)
+    for m in range(len(OUTCOMES)):
+        for j in range(columns.shape[1]):
+            image = maps[m] @ columns[:, j]
+            assert np.allclose(images[m][:, j], image, rtol=0.0, atol=1e-14)
+            assert weights[m][j] == pytest.approx(np.linalg.norm(image) ** 2, rel=1e-12)
+    # a code block loses nothing: the four readouts share all of its weight
+    encoded = losscode.encode(random_state(2, rng))
+    _, weights = losscode.recovery_images(encoded.amplitudes[losscode.SPLITS[position]], position)
+    assert sum(map(sum, weights)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_corrected_block_keeps_the_normalized_image_of_parallel_columns():
+    v = ket("0000", "1111")
+    images = np.outer(3.0 * v, [0.6, 0.8])
+    weights = [float(np.linalg.norm(images[:, j]) ** 2) for j in range(2)]
+    assert np.allclose(losscode.corrected_block(images, weights), v, rtol=0.0, atol=1e-15)
+
+
+def test_corrected_block_refuses_a_mixed_image():
+    images = np.eye(16)[:, :2].astype(complex)
+    with pytest.raises(RecoveryError):
+        losscode.corrected_block(images, [1.0, 1.0])
+
+
+def test_corrected_block_refuses_nan():
+    nan = float("nan")
+    with pytest.raises(ImpossibleBranchError):
+        losscode.corrected_block(np.full((16, 2), nan + 0j), [nan, nan])
+    # finite weights, but the column that is not kept is NaN
+    images = np.stack([ket("0000", "1111"), np.full(16, nan)], axis=1)
+    with pytest.raises(RecoveryError):
+        losscode.corrected_block(images, [0.9, 0.1])
 
 
 # ---------------------------------------------------------------------------
