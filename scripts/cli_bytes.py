@@ -59,6 +59,9 @@ def commands() -> dict[str, tuple[list[str], dict[str, str | bytes]]]:
         "usage-sweep-r-steps": (["sweep-r", "--out", "r.csv", "--x-steps", "1"], {}),
         "usage-sweep-pt-n-range": (["sweep-pt", "--out", "pt.csv", "--n-lo", "5", "--n-hi", "5"],
                                    {}),
+        "usage-sweep-pt-n-hi-overflow": (["sweep-pt", "--out", "pt.csv", "--n-hi", str(10**400)],
+                                         {}),
+        "usage-verify-states": (["verify", "--states", "0"], {}),
         "usage-config-key": (["chain", "--config", "bad.json"], {"bad.json": '{"bogus": 1}\n'}),
         "usage-out-missing-dir": (["resources", "--n", "3", "--out", "missing/r.json"], {}),
         "usage-config-not-utf8": (["chain", "--config", "bad.json"], {"bad.json": b"\xff\xfe{}"}),

@@ -223,8 +223,6 @@ def golden_section_min(fn, lo: float, hi: float, tol: float = 1e-9, max_iter: in
 
 def min_r_over_x(p_t: float, tol: float = 1e-9) -> tuple[float, float]:
     """Best attainable attenuation ratio over stage spacings x in (0, 10]."""
-    if not 0.0 < p_t <= 1.0:
-        raise ValueError("p_t must lie in (0, 1]")
     x_star = golden_section_min(lambda x: r(x, p_t), 1e-9, X_SEARCH_LIMIT, tol=tol)
     return x_star, r(x_star, p_t)
 

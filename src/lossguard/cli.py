@@ -25,15 +25,7 @@ from lossguard.channel import MODES
 from lossguard.losscode import OUTCOMES, RecoveryError, TableDerivationError
 from lossguard.simcore import ATOL, PureState, fidelity, random_state
 
-DEFAULT_PARAMS = TransponderParams(
-    alpha=1.0 / 30.0,
-    d=10.0,
-    n=160,
-    eta=1.0 - 1e-5,
-    p_one=1.0,
-    p_spg=1.0,
-    nu=2.0e5,
-)
+DEFAULT_PARAMS = TransponderParams(alpha=1.0 / 30.0, d=10.0, n=160, eta=1.0 - 1e-5)
 
 SWEEP_PT_ETAS = (1.0, 1.0 - 1e-6, 1.0 - 1e-5, 1.0 - 10.0**-4.5)
 MAX_SWEEP_ROWS = 10**6  # sweep-r's default grid is 60,000 rows, sweep-pt's at most 800
@@ -46,6 +38,14 @@ _RUN_FIELDS = ("trials", "num_stages", "seed", "mode", "p_t_override", "max_cycl
 
 class CliError(Exception):
     """Usage or configuration problem; maps to exit code 2."""
+
+
+def _checked(check, *args, **kwargs):
+    """`check(*args, **kwargs)`, with the ValueError of a rule it owns as a CliError."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +199,14 @@ def _check_recovery(states: int, seed: int) -> str | None:
 
 
 def cmd_verify(args) -> int:
-    if args.seed < 0:
-        raise CliError("--seed must be >= 0")
-    if args.states < 1:
-        raise CliError("--states must be >= 1")
-    if args.states > MAX_VERIFY_STATES:
-        raise CliError(f"--states must be <= {MAX_VERIFY_STATES}")
+    _checked(analytics.check_count, "--seed", args.seed, 0)
+    _checked(analytics.check_count, "--states", args.states, 1, MAX_VERIFY_STATES + 1)
     if (args.qubit_loss is None) != (args.outcome is None):
         raise CliError("--qubit-loss and --outcome must be given together")
     if args.qubit_loss is not None:
-        if args.qubit_loss not in range(losscode.DATA_QUBITS):
-            raise CliError("--qubit-loss must be one of 0, 1, 2, 3")
+        table = _checked(losscode.derive_correction_table, args.qubit_loss)
         if args.outcome not in OUTCOMES:
             raise CliError(f"--outcome must be one of {', '.join(OUTCOMES)}")
-        table = losscode.derive_correction_table(args.qubit_loss)
         word = table.entries[args.outcome]
         print(
             f"loss at qubit {args.qubit_loss}, ancilla outcome {args.outcome} "
@@ -258,12 +252,11 @@ def _check_rows(rows: int) -> None:
 
 
 def _grid(lo: float, hi: float, steps: int, log: bool, name: str) -> np.ndarray:
-    if steps < 2:
-        raise CliError(f"{name}: steps must be >= 2")
+    _checked(analytics.check_count, f"{name}: steps", steps, 2)
     if not lo < hi:
         raise CliError(f"{name}: need lo < hi, got [{lo}, {hi}]")
-    if not math.isfinite(lo) or not math.isfinite(hi):
-        raise CliError(f"{name}: bounds must be finite, got [{lo}, {hi}]")
+    for side, bound in (("lo", lo), ("hi", hi)):
+        _checked(analytics.check_real, f"{name}: {side}", bound, -math.inf, math.inf)
     if log:
         if lo <= 0:
             raise CliError(f"{name}: log grid needs lo > 0")
@@ -275,10 +268,8 @@ def cmd_sweep_r(args) -> int:
     _check_rows(args.x_steps * args.pt_steps)
     xs = _grid(args.x_lo, args.x_hi, args.x_steps, log=True, name="x range")
     pts = _grid(args.pt_lo, args.pt_hi, args.pt_steps, log=False, name="p_t range")
-    if args.pt_lo <= 0 or args.pt_hi > 1:
-        raise CliError("p_t range must lie within (0, 1]")
     x_list, pt_list = xs.tolist(), pts.tolist()
-    grid = analytics.r(xs[:, None], pts[None, :]).tolist()
+    grid = _checked(analytics.r, xs[:, None], pts[None, :]).tolist()
     contour = list(zip(x_list, analytics.break_even_pt(xs).tolist()))
     x_star, pt_star = analytics.min_break_even_pt()
 
@@ -306,10 +297,7 @@ def cmd_sweep_pt(args) -> int:
     _check_rows(args.n_steps * len(etas))
     n_axis = _grid(args.n_lo, args.n_hi, args.n_steps, log=True, name="n range")
     ns = sorted(set(int(round(v)) for v in n_axis))
-    try:
-        grid = [TransponderParams(alpha=0.0, d=0.0, n=n, eta=eta) for n in ns for eta in etas]
-    except ValueError as exc:
-        raise CliError(f"bad grid point: {exc}")
+    grid = [_checked(TransponderParams, alpha=0.0, d=0.0, n=n, eta=eta) for n in ns for eta in etas]
     rows = [(params.n, float(params.eta), analytics.p_t_full(params)) for params in grid]
     reference = analytics.min_break_even_pt()[1]
 
@@ -408,10 +396,8 @@ _RESOURCE_COLUMNS = ("spg", "qnd", "cnot", "cz", "one_qubit", "pd")
 
 
 def cmd_resources(args) -> int:
-    if args.n < 1:
-        raise CliError("--n must be >= 1")
     levels = analytics.REDUCTION_LEVELS if args.all else (args.level,)
-    counts = [analytics.resources(args.n, level) for level in levels]
+    counts = [_checked(analytics.resources, args.n, level) for level in levels]
     header = ("level",) + _RESOURCE_COLUMNS
     table = [header] + [
         (c.reduction_level,) + tuple(str(getattr(c, col)) for col in _RESOURCE_COLUMNS)

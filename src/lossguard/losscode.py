@@ -112,6 +112,8 @@ class CorrectionTable:
     entries: Mapping[str, str]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "loss_position",
+                           check_count("loss position", self.loss_position, 0, DATA_QUBITS))
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         if set(self.entries) != set(OUTCOMES):
             raise ValueError(f"table must cover outcomes {OUTCOMES}")

@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from lossguard.analytics import check_count
+
 ATOL = 1e-12          # exactness tolerance for state algebra
 PSD_TOL = 1e-10       # eigenvalue floor accepted for density matrices
 ZERO_BRANCH_TOL = 1e-12
@@ -34,11 +36,6 @@ class ImpossibleBranchError(ValueError):
     """Raised when a measurement branch of probability zero is requested."""
 
 
-def _check_register_size(num_qubits: int) -> None:
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(f"register size must be 1..{MAX_QUBITS}, got {num_qubits}")
-
-
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized state vector over `num_qubits` qubits."""
@@ -47,7 +44,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_register_size(self.num_qubits)
+        check_count("register size", self.num_qubits, 1, MAX_QUBITS + 1)
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if amps.shape != (1 << self.num_qubits,):
             raise ValueError(
@@ -80,7 +77,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_register_size(self.num_qubits)
+        check_count("register size", self.num_qubits, 1, MAX_QUBITS + 1)
         dim = 1 << self.num_qubits
         mat = np.array(self.matrix, dtype=complex)
         if mat.shape != (dim, dim):
@@ -106,11 +103,11 @@ class Gate:
     def __post_init__(self) -> None:
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        targets = tuple(int(t) for t in self.targets)
+        targets = tuple(check_count("gate target", t, 0) for t in self.targets)
         arity = 1 if self.kind in _ONE_QUBIT else 2
         if len(targets) != arity:
             raise ValueError(f"{self.kind} takes {arity} target(s), got {targets}")
-        if len(set(targets)) != len(targets) or min(targets) < 0:
+        if len(set(targets)) != len(targets):
             raise ValueError(f"bad targets {targets}")
         object.__setattr__(self, "targets", targets)
 
@@ -168,8 +165,7 @@ def partial_trace(rho: DensityMatrix, qubit: int) -> DensityMatrix:
     n = rho.num_qubits
     if n < 2:
         raise ValueError("cannot trace the last remaining qubit")
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
+    qubit = check_count("qubit", qubit, 0, n)
     tensor = rho.matrix.reshape([2] * (2 * n))
     reduced = np.trace(tensor, axis1=qubit, axis2=n + qubit)
     dim = 1 << (n - 1)
@@ -185,7 +181,7 @@ def fidelity(a: PureState, b: PureState) -> float:
 
 def random_state(num_qubits: int, rng: np.random.Generator) -> PureState:
     """Haar-random pure state."""
-    _check_register_size(num_qubits)
+    num_qubits = check_count("register size", num_qubits, 1, MAX_QUBITS + 1)
     dim = 1 << num_qubits
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return PureState(num_qubits, vec / np.linalg.norm(vec))

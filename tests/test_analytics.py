@@ -201,6 +201,12 @@ def test_min_r_over_x_at_three_quarters():
     assert r_star == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("p_t", [0.0, math.nan, 1.5], ids=repr)
+def test_min_r_over_x_refuses_p_t_outside_the_unit_interval(p_t):
+    with pytest.raises(ValueError, match=r"p_t must lie in \(0, 1\]"):
+        min_r_over_x(p_t)
+
+
 def test_break_even_pt_closed_form():
     # exp(-2x (1 - f(x))) touches 3/4 exactly at x = ln(3/2)
     assert break_even_pt(LN_3_HALVES) == pytest.approx(0.75, abs=1e-12)

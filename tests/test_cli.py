@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, file formats, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -106,7 +107,9 @@ def test_verify_refuses_more_states_than_the_bound(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "random_state", no_draw)
     assert run_cli("verify", "--states", str(cli.MAX_VERIFY_STATES + 1)) == 2
-    assert capsys.readouterr().err == f"error: --states must be <= {cli.MAX_VERIFY_STATES}\n"
+    bound = cli.MAX_VERIFY_STATES + 1
+    expected = f"error: --states must be an integer in [1, {bound}), got {bound}\n"
+    assert capsys.readouterr().err == expected
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +299,7 @@ def test_sweep_pt_rejects_bad_ranges(tmp_path, capsys):
         (["--n-lo", "5", "--n-hi", "5"], "n range: need lo < hi, got [5, 5]"),
         (["--n-lo", "0"], "n range: log grid needs lo > 0"),
         (["--n-lo", "-3"], "n range: log grid needs lo > 0"),
-        (["--n-steps", "1"], "n range: steps must be >= 2"),
+        (["--n-steps", "1"], "n range: steps must be an integer in [2, inf), got 1"),
     ],
     ids=["empty", "zero", "negative", "one-step"],
 )
@@ -713,3 +716,67 @@ def test_threads_env_does_not_change_output(monkeypatch, tmp_path, config_file):
     monkeypatch.setenv("LOSSGUARD_THREADS", "3")
     run_cli("chain", "--config", config_file, "--trials", "7000", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# every flag and config field fails closed, with cases built from the parser
+
+
+_HUGE_INT = str(10**400)  # beyond float range
+_FLAG_VALUES = {
+    int: {"-1": "-1", "0": "0", "10**400": _HUGE_INT},
+    float: {value: value for value in ("-1", "0", "nan", "inf", "-inf", "1e400")},
+}
+_FIELD_VALUES = {"-1": "-1", "0": "0", "1e400": "1e400", "10**400": _HUGE_INT, "true": "true",
+                 "null": "null", "string": '"x"', "list": "[1]", "object": "{}", "NaN": "NaN",
+                 "Infinity": "Infinity"}
+
+
+def _subcommands() -> dict:
+    """Subcommand name -> its argparse parser, read from `cli.build_parser()`."""
+    parser = cli.build_parser()
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _flag_cases():
+    for command, sub in _subcommands().items():
+        for action in sub._actions:
+            for label, value in _FLAG_VALUES.get(action.type, {}).items():
+                flag = action.option_strings[0]
+                yield pytest.param(command, flag, value, id=f"{command} {flag}={label}")
+
+
+def _bounded_argv(command: str, tmp_path, trials: bool = True) -> list[str]:
+    """`command` writing into tmp_path where it has --out, and with --trials 50 on a
+    Monte Carlo run unless `trials` is false, so that no large run starts."""
+    options = _subcommands()[command]._option_string_actions
+    argv = [command]
+    if "--out" in options:
+        argv += ["--out", str(tmp_path / "out")]
+    if "--trials" in options and trials:
+        argv += ["--trials", "50"]
+    return argv
+
+
+def _exit_code(argv: list[str]) -> int:
+    """`main`'s exit code; any exception other than SystemExit escapes and fails the test."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("command, flag, value", list(_flag_cases()))
+def test_every_numeric_flag_fails_closed(tmp_path, capsys, command, flag, value):
+    argv = _bounded_argv(command, tmp_path, trials=flag != "--trials") + [f"{flag}={value}"]
+    assert _exit_code(argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("command", ["chain", "loop"])
+@pytest.mark.parametrize("field", cli._PARAM_FIELDS + cli._RUN_FIELDS)
+@pytest.mark.parametrize("value", list(_FIELD_VALUES.values()), ids=list(_FIELD_VALUES))
+def test_every_config_field_fails_closed(tmp_path, capsys, command, field, value):
+    config = tmp_path / "run.json"
+    config.write_text(f'{{"{field}": {value}}}', encoding="utf-8")
+    argv = _bounded_argv(command, tmp_path, trials=field != "trials") + ["--config", str(config)]
+    assert _exit_code(argv) in (0, 1, 2)

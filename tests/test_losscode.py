@@ -257,6 +257,13 @@ def test_loss_position_is_an_integer_even_once_cached(bad):
     assert after.misses == before.misses and after.hits > before.hits and after.currsize == 4
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, 2.7, "1", -1, 4, 99], ids=repr)
+def test_correction_table_position_is_a_data_qubit(bad):
+    with pytest.raises(ValueError, match="loss position"):
+        CorrectionTable(bad, EXPECTED_TABLE)
+    assert CorrectionTable(np.int64(1), EXPECTED_TABLE).loss_position == 1
+
+
 def test_branch_maps_reuse_the_maps_that_table_derivation_built():
     # the first recovery after set-up only multiplies cached maps, so its time
     # matches a warm one

@@ -98,6 +98,43 @@ def test_gate_validation():
         apply_gate(PureState.basis("0"), Gate("X", (3,)))
 
 
+# values that are not an index, though int() or a comparison would take each
+NOT_AN_INDEX = [True, 1.0, 2.7, "1", -1]
+
+
+@pytest.mark.parametrize("bad", NOT_AN_INDEX + [2.0], ids=repr)
+def test_register_size_is_an_integer(bad):
+    with pytest.raises(ValueError, match="register size"):
+        PureState(bad, [1.0, 0.0])
+    with pytest.raises(ValueError, match="register size"):
+        DensityMatrix(bad, np.diag([1.0, 0.0]))
+    with pytest.raises(ValueError, match="register size"):
+        random_state(bad, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("targets", [(bad,) for bad in NOT_AN_INDEX] + [(0, 2.9)], ids=repr)
+def test_gate_targets_are_integers(targets):
+    kind = "H" if len(targets) == 1 else "CNOT"
+    with pytest.raises(ValueError, match="gate target"):
+        Gate(kind, targets)
+
+
+@pytest.mark.parametrize("bad", NOT_AN_INDEX + [1.5], ids=repr)
+def test_partial_trace_qubit_is_an_integer(bad):
+    rho = PureState.basis("00").to_density_matrix()
+    with pytest.raises(ValueError, match="qubit"):
+        partial_trace(rho, bad)
+
+
+def test_numpy_integers_are_indices():
+    two, one = np.int64(2), np.int64(1)
+    state = PureState(two, [1.0, 0.0, 0.0, 0.0])
+    assert DensityMatrix(two, np.diag([1.0, 0.0, 0.0, 0.0])).num_qubits == 2
+    assert random_state(two, np.random.default_rng(0)).num_qubits == 2
+    assert Gate("CNOT", (np.int64(0), one)) == Gate("CNOT", (0, 1))
+    assert partial_trace(state.to_density_matrix(), one).num_qubits == 1
+
+
 def _bit_rule(kind, targets, num_qubits, index):
     """The image of basis state `index` under the gate, from the bit rules alone."""
     masks = [1 << (num_qubits - 1 - t) for t in targets]
