@@ -65,6 +65,9 @@ def commands() -> dict[str, tuple[list[str], dict[str, str | bytes]]]:
         "usage-config-key": (["chain", "--config", "bad.json"], {"bad.json": '{"bogus": 1}\n'}),
         "usage-out-missing-dir": (["resources", "--n", "3", "--out", "missing/r.json"], {}),
         "usage-config-not-utf8": (["chain", "--config", "bad.json"], {"bad.json": b"\xff\xfe{}"}),
+        "usage-chain-budget": (["chain", "--trials", "10000000", "--stages", "10"], {}),
+        "loop-config-num-stages": (["loop", "--config", "stages.json", "--trials", "1000"],
+                                   {"stages.json": '{"num_stages": 100000}\n'}),
     }
 
 

@@ -10,18 +10,15 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from lossguard import analytics, channel, losscode
 from lossguard.analytics import TransponderParams, check_count, p_f, p_t_full
-from lossguard.channel import (
-    MODE_AGGREGATE,
-    RAILS,
-    SUCCESS_STATUSES,
-    SegmentModel,
-)
+from lossguard.channel import MODE_AGGREGATE, MODE_PER_GATE, SUCCESS_STATUSES, SegmentModel
+from lossguard.losscode import DATA_QUBITS
 from lossguard.simcore import PureState, random_state
 
 _CHUNK = 5000  # fixed so chunk boundaries never depend on worker count
@@ -45,11 +42,6 @@ class ChainConfig:
             lo = 0 if name == "seed" else 1
             object.__setattr__(self, name, check_count(name, getattr(self, name), lo))
         channel.coin_p_t(self.params, self.mode, self.p_t_override)
-        if self.trials * self.num_stages > self.max_stage_evals:
-            raise ValueError(
-                f"run of {self.trials} x {self.num_stages} stages exceeds the "
-                f"budget of {self.max_stage_evals} stage evaluations"
-            )
 
     def effective_p_t(self) -> float:
         return channel.coin_p_t(self.params, MODE_AGGREGATE, self.p_t_override)
@@ -101,6 +93,24 @@ class ModeComparison(_Report):
     analytic_p_t: float
     z_score: float
     agree_within_4_sigma: bool
+
+
+def check_budget(config: ChainConfig, loop: bool = False) -> None:
+    """Refuse a run whose work passes max_stage_evals: a chain costs trials x
+    num_stages stage evaluations, a loop trials x min(max_cycles, 1 / (1 - q))
+    expected cycles at per-cycle success q.  The product is compared as an
+    exact ratio of integers, so no integer is converted to a float."""
+    trials, budget = config.trials, config.max_stage_evals
+    if loop:
+        q = config.stage_success()
+        per_trial = config.max_cycles if q >= 1.0 else min(config.max_cycles, 1.0 / (1.0 - q))
+        shown = f"{per_trial:.6g}" if per_trial <= sys.float_info.max else per_trial
+        what = f"loop of {trials} trials x {shown} expected cycles"
+    else:
+        per_trial, what = config.num_stages, f"run of {trials} x {config.num_stages} stages"
+    num, den = per_trial.as_integer_ratio()
+    if trials * num > budget * den:
+        raise ValueError(f"{what} exceeds the budget of {budget} stage evaluations")
 
 
 def input_rng(seed: int) -> np.random.Generator:
@@ -180,6 +190,7 @@ def run_chain(
 ) -> ChainStats:
     """Encode once, push the block through num_stages stages per trial,
     decode the survivors, and tally success rates."""
+    check_budget(config)
     if logical is None:
         logical = random_state(2, input_rng(config.seed))
     encoded = losscode.encode(logical)
@@ -232,23 +243,11 @@ def _loop_chunk(config: ChainConfig, rng: np.random.Generator, trials: int) -> t
     for cycle in range(1, config.max_cycles + 1):
         if not live:
             break
-        kept = (rng.random((live, RAILS)) < survival).sum(axis=1) >= RAILS - 1
+        kept = (rng.random((live, DATA_QUBITS)) < survival).sum(axis=1) >= DATA_QUBITS - 1
         live = int(channel.gate_coins(config.params, p_t, rng, int(kept.sum())).sum())
         total += live
         total_sq += (2 * cycle - 1) * live
     return total, total_sq, live
-
-
-def check_loop_budget(config: ChainConfig) -> None:
-    """Refuse a loop whose trials x min(max_cycles, 1 / (1 - q)) expected cycles
-    pass max_stage_evals, at per-cycle success q."""
-    q = config.stage_success()
-    cycles = config.max_cycles if q >= 1.0 else min(config.max_cycles, 1.0 / (1.0 - q))
-    if config.trials * cycles > config.max_stage_evals:
-        raise ValueError(
-            f"loop of {config.trials} trials x {cycles:.6g} expected cycles exceeds "
-            f"the budget of {config.max_stage_evals} stage evaluations"
-        )
 
 
 def run_loop(config: ChainConfig, workers: int = 1) -> LoopStats:
@@ -257,7 +256,7 @@ def run_loop(config: ChainConfig, workers: int = 1) -> LoopStats:
     Surviving cycle counts are geometric; trials still alive at max_cycles
     are censored at the cap.
     """
-    check_loop_budget(config)
+    check_budget(config, loop=True)
     parts = _run_chunks(_loop_chunk, (config,), config, workers)
     trials = config.trials
     total = sum(p[0] for p in parts)
@@ -296,7 +295,7 @@ def compare_modes(config: ChainConfig, workers: int = 1) -> ModeComparison:
     if config.p_t_override is not None:
         raise ValueError("mode comparison requires the physical gate model")
     aggregate = run_chain(replace(config, mode=MODE_AGGREGATE), workers=workers)
-    per_gate = run_chain(replace(config, mode="per_gate"), workers=workers)
+    per_gate = run_chain(replace(config, mode=MODE_PER_GATE), workers=workers)
     spread = math.hypot(
         aggregate.per_stage_success_stderr, per_gate.per_stage_success_stderr
     )

@@ -17,6 +17,7 @@ import numpy as np
 
 from lossguard import losscode
 from lossguard.analytics import TransponderParams, check_real, gate_devices, p_t_full, survival_prob
+from lossguard.losscode import DATA_QUBITS
 from lossguard.simcore import PureState
 
 MODE_AGGREGATE = "aggregate_pt"
@@ -29,8 +30,6 @@ STATUS_FAILED_MULTI = "failed_multi_loss"
 STATUS_FAILED_GATES = "failed_gates"
 STATUSES = (STATUS_INTACT, STATUS_CORRECTED, STATUS_FAILED_MULTI, STATUS_FAILED_GATES)
 SUCCESS_STATUSES = (STATUS_INTACT, STATUS_CORRECTED)
-
-RAILS = 4
 
 
 @dataclass(frozen=True)
@@ -56,14 +55,16 @@ class LossEvent:
     survival_mask: tuple[bool, bool, bool, bool]
 
     def __post_init__(self) -> None:
-        mask = tuple(map(bool, self.survival_mask))
-        if len(mask) != RAILS:
-            raise ValueError(f"survival mask must cover {RAILS} rails")
+        raw = tuple(self.survival_mask)
+        mask = tuple(map(bool, raw))
+        # refuses entries unequal to their bool (NaN, 0.5, 2, "1", None); bools cost 4 `is` tests
+        if len(mask) != DATA_QUBITS or mask != raw:
+            raise ValueError(f"survival mask must be {DATA_QUBITS} True/False entries, got {raw!r}")
         object.__setattr__(self, "survival_mask", mask)
 
     @property
     def num_lost(self) -> int:
-        return RAILS - sum(self.survival_mask)
+        return DATA_QUBITS - sum(self.survival_mask)
 
     def lost_position(self) -> int:
         if self.num_lost != 1:
@@ -92,7 +93,7 @@ class StageResult:
 
 def transmit_segment(model: SegmentModel, rng: np.random.Generator) -> LossEvent:
     """Independent Bernoulli survival of the four rail photons."""
-    return LossEvent(tuple((rng.random(RAILS) < model.survival).tolist()))
+    return LossEvent(tuple((rng.random(DATA_QUBITS) < model.survival).tolist()))
 
 
 def coin_p_t(params: TransponderParams, mode: str, p_t_override: float | None) -> float | None:
@@ -152,4 +153,4 @@ def stage(
     images, weights = losscode.recovery_images(columns, position)
     choice = losscode.draw_readout([w0 + w1 for w0, w1 in weights], rng)
     kept = losscode.corrected_block(images[choice], weights[choice])
-    return StageResult(STATUS_CORRECTED, PureState(RAILS, kept), event)
+    return StageResult(STATUS_CORRECTED, PureState(DATA_QUBITS, kept), event)

@@ -133,8 +133,7 @@ def _build_run_config(args, raw: dict) -> chainsim.ChainConfig:
     try:
         params = replace(DEFAULT_PARAMS, **{k: raw[k] for k in _PARAM_FIELDS if k in raw})
         config = chainsim.ChainConfig(params=params, **run_kwargs)
-        if args.command == "loop":
-            chainsim.check_loop_budget(config)
+        chainsim.check_budget(config, loop=args.command == "loop")
         return config
     except ValueError as exc:
         raise CliError(f"bad configuration: {exc}")
@@ -183,7 +182,7 @@ def _check_recovery(states: int, seed: int) -> str | None:
                 return _dumps({"property": "outcome-uniformity", **where, "probabilities": probs})
             for outcome, branch, branch_weights in zip(OUTCOMES, images, weights):
                 kept = losscode.corrected_block(branch, branch_weights)
-                fid = fidelity(PureState(4, kept), encoded)
+                fid = fidelity(PureState(losscode.DATA_QUBITS, kept), encoded)
                 if not fid >= 1.0 - losscode.RECOVERY_TOL:
                     return _dumps(
                         {
@@ -223,21 +222,16 @@ def cmd_verify(args) -> int:
         ("correction-tables", _check_correction_tables),
         ("round-trip", lambda: _check_recovery(args.states, args.seed)),
     ]
-    failed = None
     for name, check in checks:
         try:
             failure = check()
         except (RecoveryError, TableDerivationError) as exc:
             failure = _dumps({"property": name, "error": str(exc)})
-        if failure is None:
-            print(f"PASS {name}")
-        else:
+        if failure is not None:
             print(f"FAIL {name}")
-            failed = failure
-            break
-    if failed is not None:
-        sys.stderr.write(failed)
-        return 1
+            sys.stderr.write(failure)
+            return 1
+        print(f"PASS {name}")
     return 0
 
 

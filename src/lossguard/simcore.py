@@ -121,12 +121,14 @@ class MeasurementRecord:
     outcome_probability: float
 
     def __post_init__(self) -> None:
-        if len(self.qubit_indices) != len(self.outcome_bits):
-            raise ValueError("qubit/outcome length mismatch")
-        if set(self.outcome_bits) - {0, 1}:
-            raise ValueError(f"bad outcome bits {self.outcome_bits}")
+        qubits = tuple(check_count("qubit index", q, 0, MAX_QUBITS) for q in self.qubit_indices)
+        bits = tuple(check_count("outcome bit", b, 0, 2) for b in self.outcome_bits)
+        if len(set(qubits)) != len(qubits) or len(qubits) != len(bits):
+            raise ValueError(f"need one distinct qubit per outcome bit, got {qubits} and {bits}")
         if not -ATOL <= self.outcome_probability <= 1.0 + ATOL:
             raise ValueError(f"bad probability {self.outcome_probability}")
+        object.__setattr__(self, "qubit_indices", qubits)
+        object.__setattr__(self, "outcome_bits", bits)
 
 
 @lru_cache(maxsize=None)

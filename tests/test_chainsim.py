@@ -35,8 +35,8 @@ def test_config_validation():
         ChainConfig(params=MID_PARAMS, p_t_override=1.5)
     with pytest.raises(ValueError):
         ChainConfig(params=MID_PARAMS, max_cycles=0)
-    with pytest.raises(ValueError):
-        ChainConfig(params=MID_PARAMS, trials=10**6, num_stages=10**6)
+    with pytest.raises(ValueError, match="budget"):
+        chainsim.check_budget(ChainConfig(params=MID_PARAMS, trials=10**6, num_stages=10**6))
     for name in ("trials", "num_stages", "seed", "max_cycles", "max_stage_evals"):
         for bad in (2.0, True, float("nan")):
             with pytest.raises(ValueError, match=name):
@@ -232,13 +232,58 @@ def test_run_loop_refuses_work_beyond_its_budget():
     # the expected work counts min(max_cycles, 1 / (1 - q)) cycles per trial
     lossy = ChainConfig(params=MID_PARAMS, trials=1000, p_t_override=0.5)
     work = 1000 * (1.0 / (1.0 - lossy.stage_success()))
-    chainsim.check_loop_budget(dataclasses.replace(lossy, max_stage_evals=math.ceil(work)))
+    chainsim.check_budget(dataclasses.replace(lossy, max_stage_evals=math.ceil(work)), loop=True)
     with pytest.raises(ValueError, match="budget"):
-        chainsim.check_loop_budget(dataclasses.replace(lossy, max_stage_evals=math.floor(work)))
+        chainsim.check_budget(dataclasses.replace(lossy, max_stage_evals=math.floor(work)), loop=True)
     capped = dataclasses.replace(endless, max_cycles=25, max_stage_evals=250_000)
-    chainsim.check_loop_budget(capped)
+    chainsim.check_budget(capped, loop=True)
     with pytest.raises(ValueError, match="budget"):
-        chainsim.check_loop_budget(dataclasses.replace(capped, max_stage_evals=249_999))
+        chainsim.check_budget(dataclasses.replace(capped, max_stage_evals=249_999), loop=True)
+
+
+def test_run_loop_checks_its_cycles_not_the_chain_stages():
+    # 100 x 10**6 stages would pass the budget of 10**5 as a chain, but the
+    # loop never reads num_stages: it expects about 1.5 cycles per trial
+    cfg = ChainConfig(params=MID_PARAMS, trials=100, num_stages=10**6, seed=4,
+                      p_t_override=0.5, max_stage_evals=10**5)
+    assert run_loop(cfg) == run_loop(dataclasses.replace(cfg, num_stages=1))
+    with pytest.raises(ValueError, match="budget"):
+        chainsim.check_budget(cfg)
+
+
+def test_chain_budget_is_checked_when_the_chain_runs(monkeypatch):
+    cfg = ChainConfig(params=MID_PARAMS, trials=10**6, num_stages=10**6)
+
+    def no_draws(*args):
+        raise AssertionError("drew before the budget check")
+
+    monkeypatch.setattr(chainsim, "input_rng", no_draws)
+    monkeypatch.setattr(chainsim, "_run_chunks", no_draws)
+    with pytest.raises(ValueError, match="budget"):
+        run_chain(cfg)
+    with pytest.raises(ValueError, match="budget"):
+        compare_modes(cfg)
+    endless = ChainConfig(params=IDEAL_PARAMS, trials=10_000, p_t_override=1.0)
+    with pytest.raises(ValueError, match="budget"):
+        run_loop(endless)
+
+
+@pytest.mark.parametrize(
+    "loop, kwargs",
+    [
+        (False, {"trials": 10**400}),
+        (True, {"trials": 10**400}),
+        # 20 expected cycles per trial, so the product passes the budget
+        (True, {"trials": 10**399, "max_stage_evals": 10**400}),
+        # no cycle fails, so every trial runs to a cap beyond float range
+        (True, {"max_cycles": 10**400, "p_t_override": 1.0}),
+    ],
+    ids=["chain", "loop", "loop-trials-beyond-float-range", "loop-cycles-beyond-float-range"],
+)
+def test_check_budget_refuses_huge_runs_without_overflow(loop, kwargs):
+    cfg = ChainConfig(params=IDEAL_PARAMS, **({"p_t_override": 0.95} | kwargs))
+    with pytest.raises(ValueError, match="budget"):
+        chainsim.check_budget(cfg, loop=loop)
 
 
 def test_run_loop_is_deterministic_across_workers():

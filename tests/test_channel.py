@@ -67,6 +67,19 @@ def test_loss_event_accounting():
         LossEvent((True, True, True))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), 2, 0.5, "1", None, -1])
+def test_loss_event_entries_must_be_true_or_false(bad):
+    with pytest.raises(ValueError, match="survival mask"):
+        LossEvent((True, True, bad, False))
+
+
+def test_loss_event_accepts_booleans_and_zero_one():
+    for mask in [(True, True, False, True), (np.True_, np.True_, np.False_, np.True_), (1, 1, 0, 1)]:
+        event = LossEvent(mask)
+        assert event.survival_mask == (True, True, False, True)
+        assert all(type(kept) is bool for kept in event.survival_mask)
+
+
 def test_transmit_segment_loss_counts_match_binomial():
     model = SegmentModel(alpha=0.05, d=10.0)
     rng = np.random.default_rng(99)

@@ -592,6 +592,24 @@ def test_loop_without_failures_is_refused_before_it_runs(tmp_path):
     assert time.perf_counter() - start < 10.0
 
 
+def test_loop_ignores_the_chain_stage_budget(tmp_path):
+    # 1000 x 100,000 stages would pass the 5 x 10^7 chain budget, but a loop
+    # does not read num_stages
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"num_stages": 100000}))
+    out = tmp_path / "loop.json"
+    assert run_cli("loop", "--config", str(cfg), "--trials", "1000", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["empirical"]["trials"] == 1000
+
+
+def test_chain_over_budget_exits_2_before_it_runs(capsys):
+    assert run_cli("chain", "--trials", "10000000", "--stages", "10") == 2
+    assert capsys.readouterr().err == (
+        "error: bad configuration: run of 10000000 x 10 stages exceeds the budget "
+        "of 50000000 stage evaluations\n"
+    )
+
+
 @pytest.mark.parametrize("name", ["trials", "num_stages", "max_cycles", "seed", "n"])
 def test_json_booleans_are_not_counts(tmp_path, name):
     cfg = tmp_path / "cfg.json"

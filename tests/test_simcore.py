@@ -271,6 +271,22 @@ def test_project_impossible_branch_raises():
         project(bell, (0, 1), "01")
 
 
+@pytest.mark.parametrize(
+    "qubits, bits",
+    [((2.7, True), (0, 1)), ((1, 1), (0, 1)), ((0,), (True,)), ((0,), (1.0,))],
+    ids=["non-integer-qubits", "repeated-qubit", "boolean-bit", "float-bit"],
+)
+def test_measurement_record_indices_and_bits_are_integers(qubits, bits):
+    with pytest.raises(ValueError):
+        MeasurementRecord(qubits, bits, 0.5)
+
+
+def test_measurement_record_stores_numpy_integers_as_ints():
+    record = MeasurementRecord((np.int64(4), np.int32(5)), (np.int64(1), 0), 0.25)
+    assert record.qubit_indices == (4, 5) and record.outcome_bits == (1, 0)
+    assert all(type(v) is int for v in record.qubit_indices + record.outcome_bits)
+
+
 def test_measurement_record_validation():
     with pytest.raises(ValueError):
         MeasurementRecord((0, 1), (0,), 0.5)
