@@ -68,6 +68,8 @@ def commands() -> dict[str, tuple[list[str], dict[str, str | bytes]]]:
         "usage-chain-budget": (["chain", "--trials", "10000000", "--stages", "10"], {}),
         "loop-config-num-stages": (["loop", "--config", "stages.json", "--trials", "1000"],
                                    {"stages.json": '{"num_stages": 100000}\n'}),
+        "usage-config-huge-int": (["loop", "--config", "big.json"],
+                                  {"big.json": '{"trials": ' + "9" * 5000 + "}\n"}),
     }
 
 

@@ -1,9 +1,12 @@
 """Monte Carlo driver for transponder chains and cyclic-memory loops.
 
-Trials run in fixed chunks of `_CHUNK`, and each chunk draws from one
-generator: chunk k uses the run seed's spawn key (k + 1,), while key (0,)
-draws the logical input.  Chunk boundaries never depend on the worker
-count, so results are reproducible bit for bit at any number of workers.
+Both runs count how many trials survived exactly k stages (or cycles), and
+the rates, the mean, its stderr and the censored fraction are read from
+those counts.  Trials run in fixed chunks of `_CHUNK`, and each chunk draws
+from one generator: chunk k uses the run seed's spawn key (k + 1,), while
+key (0,) draws the logical input.  Chunk boundaries never depend on the
+worker count, so results are reproducible bit for bit at any number of
+workers.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -127,37 +131,29 @@ def _chain_chunk(
     logical: PureState,
     rng: np.random.Generator,
     trials: int,
-) -> tuple[int, int, float]:
-    """Totals over one chunk: first-stage successes, end-to-end successes,
-    summed decoded fidelity of the survivors."""
+) -> tuple[Counter, float]:
+    """One chunk's depths (trials that survived exactly k of the num_stages
+    stages, by k) and the summed decoded fidelity of the survivors."""
     model = SegmentModel(config.params.alpha, config.params.d)
     p_t = channel.coin_p_t(config.params, config.mode, config.p_t_override)
-    first_stage = 0
-    survivors = []
+    depths, survivors = [], []
     for _ in range(trials):
         state = encoded
-        for stage_index in range(config.num_stages):
-            result = channel.stage(
-                state,
-                model,
-                config.params,
-                rng,
-                mode=config.mode,
-                p_t_override=p_t,
-                check_code_space=False,
-            )
+        for depth in range(config.num_stages):
+            result = channel.stage(state, model, config.params, rng, mode=config.mode,
+                                   p_t_override=p_t, check_code_space=False)
             if result.status not in SUCCESS_STATUSES:
                 break
-            if stage_index == 0:
-                first_stage += 1
             state = result.state
         else:
+            depth = config.num_stages
             survivors.append(state.amplitudes)
+        depths.append(depth)
     if not survivors:
-        return first_stage, 0, 0.0
+        return Counter(depths), 0.0
     decoded = losscode.decode_amplitudes(np.array(survivors))
     fidelities = np.abs(decoded.conj() @ logical.amplitudes) ** 2
-    return first_stage, len(survivors), float(np.sum(fidelities))
+    return Counter(depths), float(np.sum(fidelities))
 
 
 def _pool_size(requested: int, chunks: int, cpus: int | None) -> int:
@@ -196,13 +192,11 @@ def run_chain(
     encoded = losscode.encode(logical)
 
     parts = _run_chunks(_chain_chunk, (config, encoded, logical), config, workers)
+    depths = sum((p[0] for p in parts), Counter())
+    fidelity_sum = math.fsum(p[1] for p in parts)
 
-    first_stage = sum(p[0] for p in parts)
-    survived = sum(p[1] for p in parts)
-    fidelity_sum = math.fsum(p[2] for p in parts)
-
-    trials = config.trials
-    per_stage = first_stage / trials
+    trials, survived = config.trials, depths[config.num_stages]
+    per_stage = (trials - depths[0]) / trials
     end_to_end = survived / trials
     mean_fid = fidelity_sum / survived if survived else math.nan
     d = config.params.d
@@ -226,28 +220,32 @@ def run_chain(
     )
 
 
-def _loop_chunk(config: ChainConfig, rng: np.random.Generator, trials: int) -> tuple[int, int, int]:
-    """Totals over one chunk: cycles, squared cycles, censored count.
+def _loop_chunk(config: ChainConfig, rng: np.random.Generator, trials: int) -> Counter:
+    """One chunk's depths: trials that completed exactly k cycles, by k, with
+    the trials still alive at max_cycles counted at the cap.
 
     Only the event layer runs here: a corrected cycle returns the block to
     its exact input state (the recovery round-trip tests establish that),
     so cycle counts do not depend on the quantum state.  Each cycle draws
     the rails of every live trial, then gate coins for those with at most
-    one loss.  Trials are exchangeable, so only the live count is kept:
-    the `live` trials that finish cycle k add 1 to their cycle count and
-    2k - 1 to its square.
+    one loss.  Trials are exchangeable, so only the live count is kept.
+    A cycle in which no trial fails adds no key, so the record holds at
+    most one key per trial, however high the cap.
     """
     survival = SegmentModel(config.params.alpha, config.params.d).survival
     p_t = channel.coin_p_t(config.params, config.mode, config.p_t_override)
-    live, total, total_sq = trials, 0, 0
-    for cycle in range(1, config.max_cycles + 1):
+    depths, live = Counter(), trials
+    for cycle in range(config.max_cycles):
         if not live:
             break
         kept = (rng.random((live, DATA_QUBITS)) < survival).sum(axis=1) >= DATA_QUBITS - 1
-        live = int(channel.gate_coins(config.params, p_t, rng, int(kept.sum())).sum())
-        total += live
-        total_sq += (2 * cycle - 1) * live
-    return total, total_sq, live
+        passed = int(channel.gate_coins(config.params, p_t, rng, int(kept.sum())).sum())
+        if passed < live:
+            depths[cycle] = live - passed
+        live = passed
+    if live:
+        depths[config.max_cycles] = live
+    return depths
 
 
 def run_loop(config: ChainConfig, workers: int = 1) -> LoopStats:
@@ -257,14 +255,12 @@ def run_loop(config: ChainConfig, workers: int = 1) -> LoopStats:
     are censored at the cap.
     """
     check_budget(config, loop=True)
-    parts = _run_chunks(_loop_chunk, (config,), config, workers)
+    depths = sum(_run_chunks(_loop_chunk, (config,), config, workers), Counter())
     trials = config.trials
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
-    censored = sum(p[2] for p in parts)
-    mean = total / trials
+    mean = sum(k * n for k, n in depths.items()) / trials
     if trials > 1:
-        variance = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
+        squares = sum(k * k * n for k, n in depths.items())
+        variance = max(0.0, (squares - trials * mean * mean) / (trials - 1))
         stderr = math.sqrt(variance / trials)
     else:
         stderr = 0.0
@@ -272,7 +268,7 @@ def run_loop(config: ChainConfig, workers: int = 1) -> LoopStats:
         trials=trials,
         mean_cycles=mean,
         mean_cycles_stderr=stderr,
-        censored_fraction=censored / trials,
+        censored_fraction=depths[config.max_cycles] / trials,
         cycle_cap=config.max_cycles,
         implied_storage_time=mean * config.params.d / config.params.nu,
     )
@@ -292,10 +288,8 @@ def compare_modes(config: ChainConfig, workers: int = 1) -> ModeComparison:
     A z-score beyond 4 flags an exponent bookkeeping error between the
     aggregate product and the per-device coins.
     """
-    if config.p_t_override is not None:
-        raise ValueError("mode comparison requires the physical gate model")
-    aggregate = run_chain(replace(config, mode=MODE_AGGREGATE), workers=workers)
-    per_gate = run_chain(replace(config, mode=MODE_PER_GATE), workers=workers)
+    configs = [replace(config, mode=mode) for mode in (MODE_AGGREGATE, MODE_PER_GATE)]
+    aggregate, per_gate = (run_chain(c, workers=workers) for c in configs)
     spread = math.hypot(
         aggregate.per_stage_success_stderr, per_gate.per_stage_success_stderr
     )

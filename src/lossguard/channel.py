@@ -137,12 +137,13 @@ def stage(
     `force_event` pins the loss pattern (test hook).  A single loss runs the
     recovery kernel of losscode on the block's two split columns.
     """
+    p_t = coin_p_t(gate_model, mode, p_t_override)
     if check_code_space and not losscode.in_code_space(encoded):
         raise ValueError("stage input is not in the code space")
     event = force_event if force_event is not None else transmit_segment(model, rng)
     if event.num_lost >= 2:
         return StageResult(STATUS_FAILED_MULTI, None, event)
-    if not gate_coins(gate_model, coin_p_t(gate_model, mode, p_t_override), rng):
+    if not gate_coins(gate_model, p_t, rng):
         return StageResult(STATUS_FAILED_GATES, None, event)
     if event.num_lost == 0:
         return StageResult(STATUS_INTACT, encoded, event)

@@ -114,6 +114,8 @@ def _load_config(path: str | None) -> dict:
         )
     except UnicodeDecodeError as exc:
         raise CliError(f"config {path} is not UTF-8: {exc}")
+    except ValueError as exc:
+        raise CliError(f"config {path} is not readable JSON: {exc}")
     if not isinstance(raw, dict):
         raise CliError(f"config {path} must be a flat JSON object")
     allowed = set(_PARAM_FIELDS) | set(_RUN_FIELDS)

@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lossguard import chainsim
+from lossguard import chainsim, losscode
 from lossguard.analytics import TransponderParams, p_f, p_t_full, survival_prob
 from lossguard.chainsim import ChainConfig, compare_modes, run_chain, run_loop
 from lossguard.simcore import random_state
@@ -141,6 +142,35 @@ def test_run_chain_hopeless_channel_censors_alpha_prime():
     assert math.isnan(stats.mean_fidelity_given_success)
 
 
+def test_run_chain_without_distance_has_no_alpha_prime():
+    params = TransponderParams(alpha=0.05, d=0.0, n=1)
+    stats = run_chain(ChainConfig(params=params, trials=50, seed=4, p_t_override=0.9))
+    assert 0.0 < stats.end_to_end_success < 1.0
+    assert math.isnan(stats.empirical_alpha_prime)
+    assert not stats.alpha_prime_is_censored
+
+
+def test_chunk_depths_count_every_trial_of_their_chunk(monkeypatch):
+    monkeypatch.setattr(chainsim, "_CHUNK", 70)
+    cfg = ChainConfig(params=MID_PARAMS, trials=200, num_stages=3, seed=6, max_cycles=4)
+    logical = random_state(2, np.random.default_rng(6))
+    args = (cfg, losscode.encode(logical), logical)
+    chain = [depths for depths, _ in chainsim._run_chunks(chainsim._chain_chunk, args, cfg, 1)]
+    loop = chainsim._run_chunks(chainsim._loop_chunk, (cfg,), cfg, 1)
+    for records, cap in ((chain, cfg.num_stages), (loop, cfg.max_cycles)):
+        assert [sum(depths.values()) for depths in records] == [70, 70, 60]
+        assert all(isinstance(depths, Counter) for depths in records)
+        assert set().union(*records) <= set(range(cap + 1))
+    assert len(set().union(*chain)) > 1
+
+
+def test_never_failing_loop_keeps_one_depth():
+    cfg = ChainConfig(params=IDEAL_PARAMS, trials=3, p_t_override=1.0, max_cycles=20_000)
+    depths = chainsim._loop_chunk(cfg, chainsim._chunk_rng(cfg.seed, 0), cfg.trials)
+    assert depths == Counter({20_000: 3})
+    assert len(depths) == 1
+
+
 def test_run_chain_single_stage_matches_analytics():
     cfg = ChainConfig(
         params=TransponderParams(alpha=0.02, d=10.0, n=1),
@@ -222,6 +252,13 @@ def test_run_loop_censors_at_the_cycle_cap():
     assert stats.censored_fraction == 1.0
     assert stats.mean_cycles_stderr == 0.0
     assert math.isinf(chainsim.analytic_loop_mean_cycles(cfg))
+
+
+def test_single_trial_loop_has_zero_stderr():
+    cfg = ChainConfig(params=MID_PARAMS, trials=1, seed=8, p_t_override=0.5, max_cycles=50)
+    stats = run_loop(cfg)
+    assert stats.mean_cycles_stderr == 0.0
+    assert stats.mean_cycles in range(51)
 
 
 def test_run_loop_refuses_work_beyond_its_budget():
@@ -322,9 +359,15 @@ def test_compare_modes_agrees_at_moderate_n():
     assert set(d) == {"aggregate", "per_gate", "analytic_p_t", "z_score", "agree_within_4_sigma"}
 
 
-def test_compare_modes_rejects_override():
+def test_compare_modes_rejects_override(monkeypatch):
     cfg = ChainConfig(params=MID_PARAMS, trials=100, seed=1, p_t_override=0.5)
-    with pytest.raises(ValueError):
+
+    def no_draws(*args):
+        raise AssertionError("drew before the override was refused")
+
+    monkeypatch.setattr(chainsim, "input_rng", no_draws)
+    monkeypatch.setattr(chainsim, "_run_chunks", no_draws)
+    with pytest.raises(ValueError, match="p_t_override only applies"):
         compare_modes(cfg)
 
 

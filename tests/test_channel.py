@@ -304,6 +304,20 @@ def test_stage_multi_loss_always_fails():
     assert result.state is None
 
 
+@pytest.mark.parametrize(
+    "mode, override", [("bogus", None), (MODE_AGGREGATE, 7.0), (MODE_PER_GATE, 0.5)]
+)
+def test_stage_checks_its_gate_model_before_any_draw(mode, override):
+    # every rail is lost, so without the check first the stage would return
+    # failed_multi_loss before it ever read the gate model
+    model = SegmentModel(alpha=100.0, d=1.0)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="mode|p_t_override"):
+        stage(encoded_state(), model, PARAMS, rng, mode=mode, p_t_override=override)
+    assert rng.bit_generator.state == before
+
+
 def test_stage_rejects_states_outside_the_code():
     model = SegmentModel(alpha=0.0, d=1.0)
     with pytest.raises(ValueError):

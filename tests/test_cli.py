@@ -747,7 +747,7 @@ _FLAG_VALUES = {
 }
 _FIELD_VALUES = {"-1": "-1", "0": "0", "1e400": "1e400", "10**400": _HUGE_INT, "true": "true",
                  "null": "null", "string": '"x"', "list": "[1]", "object": "{}", "NaN": "NaN",
-                 "Infinity": "Infinity"}
+                 "Infinity": "Infinity", "5000 digits": "9" * 5000}
 
 
 def _subcommands() -> dict:
