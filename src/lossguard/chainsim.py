@@ -2,7 +2,11 @@
 
 Both runs count how many trials survived exactly k stages (or cycles), and
 the rates, the mean, its stderr and the censored fraction are read from
-those counts.  Trials run in fixed chunks of `_CHUNK`, and each chunk draws
+those counts; they also count each stage evaluation's status, next to its
+expectation and z.  Every live trial runs stage (or cycle) k before any
+runs k + 1, and each evaluation reads one `channel.stage` row, so at one
+seed a loop capped at N cycles and an N-stage chain read the same rows.
+Trials run in fixed chunks of `_CHUNK`, and each chunk draws
 from one generator: chunk k uses the run seed's spawn key (k + 1,), while
 key (0,) draws the logical input.  Chunk boundaries never depend on the
 worker count, so results are reproducible bit for bit at any number of
@@ -15,13 +19,13 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from lossguard import analytics, channel, losscode
 from lossguard.analytics import TransponderParams, check_count, p_f, p_t_full
-from lossguard.channel import MODE_AGGREGATE, MODE_PER_GATE, SUCCESS_STATUSES, SegmentModel
+from lossguard.channel import MODE_AGGREGATE, MODE_PER_GATE, STATUSES, SegmentModel
 from lossguard.losscode import DATA_QUBITS
 from lossguard.simcore import PureState, random_state
 
@@ -74,6 +78,9 @@ class ChainStats(_Report):
     mean_fidelity_given_success: float
     empirical_alpha_prime: float
     alpha_prime_is_censored: bool
+    status_counts: dict[str, int] = field(hash=False)  # unhashable, so left out of the report's hash
+    status_expected: dict[str, float] = field(hash=False)
+    status_z: dict[str, float] = field(hash=False)
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,9 @@ class LoopStats(_Report):
     censored_fraction: float
     cycle_cap: int
     implied_storage_time: float
+    status_counts: dict[str, int] = field(hash=False)  # unhashable, so left out of the report's hash
+    status_expected: dict[str, float] = field(hash=False)
+    status_z: dict[str, float] = field(hash=False)
 
 
 @dataclass(frozen=True)
@@ -131,29 +141,32 @@ def _chain_chunk(
     logical: PureState,
     rng: np.random.Generator,
     trials: int,
-) -> tuple[Counter, float]:
+) -> tuple[Counter, Counter, float]:
     """One chunk's depths (trials that survived exactly k of the num_stages
-    stages, by k) and the summed decoded fidelity of the survivors."""
+    stages, by k), its stage statuses, and the summed decoded fidelity of the
+    survivors.  Every live trial runs stage k, in trial order, before any
+    runs stage k + 1, so the chunk reads its rows in the loop's order."""
     model = SegmentModel(config.params.alpha, config.params.d)
     p_t = channel.coin_p_t(config.params, config.mode, config.p_t_override)
-    depths, survivors = [], []
-    for _ in range(trials):
-        state = encoded
-        for depth in range(config.num_stages):
+    depths, statuses, states = Counter(), Counter(), [encoded] * trials
+    for depth in range(config.num_stages):
+        stage_statuses, survivors = [], []
+        for state in states:
             result = channel.stage(state, model, config.params, rng, mode=config.mode,
                                    p_t_override=p_t, check_code_space=False)
-            if result.status not in SUCCESS_STATUSES:
-                break
-            state = result.state
-        else:
-            depth = config.num_stages
-            survivors.append(state.amplitudes)
-        depths.append(depth)
-    if not survivors:
-        return Counter(depths), 0.0
-    decoded = losscode.decode_amplitudes(np.array(survivors))
+            stage_statuses.append(result.status)
+            if result.state is not None:
+                survivors.append(result.state)
+        statuses.update(stage_statuses)
+        if len(survivors) < len(states):
+            depths[depth] = len(states) - len(survivors)
+        if not survivors:
+            return depths, statuses, 0.0
+        states = survivors
+    depths[config.num_stages] = len(states)
+    decoded = losscode.decode_amplitudes(np.array([state.amplitudes for state in states]))
     fidelities = np.abs(decoded.conj() @ logical.amplitudes) ** 2
-    return Counter(depths), float(np.sum(fidelities))
+    return depths, statuses, float(np.sum(fidelities))
 
 
 def _pool_size(requested: int, chunks: int, cpus: int | None) -> int:
@@ -179,6 +192,22 @@ def _binomial_stderr(rate: float, trials: int) -> float:
     return math.sqrt(rate * (1.0 - rate) / trials)
 
 
+def _z(diff: float, spread: float) -> float:
+    return diff / spread if spread > 0 else (0.0 if diff == 0 else math.inf)
+
+
+def _status_fields(config: ChainConfig, statuses: Counter) -> dict:
+    """The status histogram over stage evaluations, each count beside its
+    probability per evaluation and its binomial z."""
+    p = analytics.survival_prob(config.params.alpha, config.params.d)
+    p_t, kept = config.effective_p_t(), p_f(p)
+    expected = dict(zip(STATUSES, (p**4 * p_t, 4 * p**3 * (1 - p) * p_t, 1 - kept, kept * (1 - p_t))))
+    counts = {status: statuses[status] for status in STATUSES}
+    evals = sum(counts.values())
+    z = {s: _z(counts[s] - evals * q, math.sqrt(evals * q * (1 - q))) for s, q in expected.items()}
+    return {"status_counts": counts, "status_expected": expected, "status_z": z}
+
+
 def run_chain(
     config: ChainConfig,
     logical: PureState | None = None,
@@ -192,8 +221,8 @@ def run_chain(
     encoded = losscode.encode(logical)
 
     parts = _run_chunks(_chain_chunk, (config, encoded, logical), config, workers)
-    depths = sum((p[0] for p in parts), Counter())
-    fidelity_sum = math.fsum(p[1] for p in parts)
+    depths, statuses = (sum((p[i] for p in parts), Counter()) for i in (0, 1))
+    fidelity_sum = math.fsum(p[2] for p in parts)
 
     trials, survived = config.trials, depths[config.num_stages]
     per_stage = (trials - depths[0]) / trials
@@ -217,35 +246,48 @@ def run_chain(
         mean_fidelity_given_success=mean_fid,
         empirical_alpha_prime=emp_alpha_prime,
         alpha_prime_is_censored=censored,
+        **_status_fields(config, statuses),
     )
 
 
-def _loop_chunk(config: ChainConfig, rng: np.random.Generator, trials: int) -> Counter:
-    """One chunk's depths: trials that completed exactly k cycles, by k, with
-    the trials still alive at max_cycles counted at the cap.
+def _loop_chunk(config: ChainConfig, rng: np.random.Generator, trials: int) -> tuple[Counter, Counter]:
+    """One chunk's depths (trials that completed exactly k cycles, by k, with
+    the trials still alive at max_cycles counted at the cap) and its cycle
+    statuses.
 
     Only the event layer runs here: a corrected cycle returns the block to
     its exact input state (the recovery round-trip tests establish that),
     so cycle counts do not depend on the quantum state.  Each cycle draws
-    the rails of every live trial, then gate coins for those with at most
-    one loss.  Trials are exchangeable, so only the live count is kept.
-    A cycle in which no trial fails adds no key, so the record holds at
-    most one key per trial, however high the cap.
+    one `stage` row per live trial, readout column included, so a loop of
+    max_cycles = N reads the stream of an N-stage chain.  Trials are
+    exchangeable, so only the live count is kept.  A cycle in which no
+    trial fails adds no key, so the record holds at most one key per
+    trial, however high the cap.
     """
     survival = SegmentModel(config.params.alpha, config.params.d).survival
     p_t = channel.coin_p_t(config.params, config.mode, config.p_t_override)
-    depths, live = Counter(), trials
+    bounds = np.array([survival] * DATA_QUBITS + channel.coin_bounds(config.params, p_t))
+    # a row's failed columns, as bits (rails first, then coins), index its
+    # status in STATUSES order: intact, corrected, multi-loss, gates failed
+    bits = np.arange(2 ** len(bounds))
+    lost = sum((bits >> k) & 1 for k in range(DATA_QUBITS))
+    status_of = np.where(lost >= 2, 2, np.where(bits >> DATA_QUBITS, 3, lost))
+    weights = 2.0 ** np.arange(len(bounds))
+    depths, statuses, live = Counter(), np.zeros(len(STATUSES), dtype=np.int64), trials
     for cycle in range(config.max_cycles):
         if not live:
             break
-        kept = (rng.random((live, DATA_QUBITS)) < survival).sum(axis=1) >= DATA_QUBITS - 1
-        passed = int(channel.gate_coins(config.params, p_t, rng, int(kept.sum())).sum())
+        row = rng.random((live, len(bounds) + 1))
+        failed = ((row[:, :-1] >= bounds) @ weights).astype(np.intp)
+        counts = np.bincount(status_of[failed], minlength=len(STATUSES))
+        statuses += counts
+        passed = int(counts[0] + counts[1])
         if passed < live:
             depths[cycle] = live - passed
         live = passed
     if live:
         depths[config.max_cycles] = live
-    return depths
+    return depths, Counter(dict(zip(STATUSES, statuses.tolist())))
 
 
 def run_loop(config: ChainConfig, workers: int = 1) -> LoopStats:
@@ -255,7 +297,8 @@ def run_loop(config: ChainConfig, workers: int = 1) -> LoopStats:
     are censored at the cap.
     """
     check_budget(config, loop=True)
-    depths = sum(_run_chunks(_loop_chunk, (config,), config, workers), Counter())
+    parts = _run_chunks(_loop_chunk, (config,), config, workers)
+    depths, statuses = (sum((p[i] for p in parts), Counter()) for i in (0, 1))
     trials = config.trials
     mean = sum(k * n for k, n in depths.items()) / trials
     if trials > 1:
@@ -271,6 +314,7 @@ def run_loop(config: ChainConfig, workers: int = 1) -> LoopStats:
         censored_fraction=depths[config.max_cycles] / trials,
         cycle_cap=config.max_cycles,
         implied_storage_time=mean * config.params.d / config.params.nu,
+        **_status_fields(config, statuses),
     )
 
 
@@ -293,8 +337,7 @@ def compare_modes(config: ChainConfig, workers: int = 1) -> ModeComparison:
     spread = math.hypot(
         aggregate.per_stage_success_stderr, per_gate.per_stage_success_stderr
     )
-    diff = aggregate.per_stage_success_rate - per_gate.per_stage_success_rate
-    z = diff / spread if spread > 0 else (0.0 if diff == 0 else math.inf)
+    z = _z(aggregate.per_stage_success_rate - per_gate.per_stage_success_rate, spread)
     return ModeComparison(
         aggregate=aggregate,
         per_gate=per_gate,

@@ -5,12 +5,19 @@ lose photons independently; the QND readout heralds which rail, if any,
 went dark.  Zero losses pass the block through, one loss runs the recovery
 circuit, two or more are unrecoverable.  The transponder circuit is in
 line every stage, so its gates must fire whether or not a loss occurred.
+
+Every stage evaluation reads one row of uniforms: four rail columns (a
+photon survives where u < survival), one gate-coin column per bound of
+`coin_bounds`, and one readout column.  The chain draws one row per
+`stage` call and the loop one row per live trial and cycle, so both read
+the same stream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -50,9 +57,10 @@ class SegmentModel:
 
 @dataclass(frozen=True)
 class LossEvent:
-    """Which of the four rails kept their photon."""
+    """Which of the four rails kept their photon, and how many lost it."""
 
     survival_mask: tuple[bool, bool, bool, bool]
+    num_lost: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         raw = tuple(self.survival_mask)
@@ -61,10 +69,7 @@ class LossEvent:
         if len(mask) != DATA_QUBITS or mask != raw:
             raise ValueError(f"survival mask must be {DATA_QUBITS} True/False entries, got {raw!r}")
         object.__setattr__(self, "survival_mask", mask)
-
-    @property
-    def num_lost(self) -> int:
-        return DATA_QUBITS - sum(self.survival_mask)
+        object.__setattr__(self, "num_lost", mask.count(False))
 
     def lost_position(self) -> int:
         if self.num_lost != 1:
@@ -91,9 +96,14 @@ class StageResult:
             raise ValueError("failed_multi_loss requires at least two losses")
 
 
+def _loss_event(rails: list[float], survival: float) -> LossEvent:
+    """The rails whose uniform lies below the survival probability kept their photon."""
+    return LossEvent(tuple([u < survival for u in rails]))
+
+
 def transmit_segment(model: SegmentModel, rng: np.random.Generator) -> LossEvent:
     """Independent Bernoulli survival of the four rail photons."""
-    return LossEvent(tuple((rng.random(DATA_QUBITS) < model.survival).tolist()))
+    return _loss_event(rng.random(DATA_QUBITS).tolist(), model.survival)
 
 
 def coin_p_t(params: TransponderParams, mode: str, p_t_override: float | None) -> float | None:
@@ -109,16 +119,13 @@ def coin_p_t(params: TransponderParams, mode: str, p_t_override: float | None) -
     return p_t_full(params) if mode == MODE_AGGREGATE else None
 
 
-def gate_coins(params: TransponderParams, p_t: float | None, rng: np.random.Generator, rows=None):
-    """Did every device fire?  One bool, or one per stage for `rows` stages, from
-    the same stream as `rows` one-stage calls.  A float `p_t` is one coin per
-    stage; None draws how many devices of each `gate_devices` kind failed and
-    fires where none did, exact since P(no failure among k devices) = p**k."""
+def coin_bounds(params: TransponderParams, p_t: float | None) -> list[float]:
+    """The gate-coin columns' bounds: [p_t] for a float `p_t`, else p**k for each
+    `gate_devices` kind, the chance that all k devices of the kind fire.  The
+    gates fire when every coin's uniform lies below its bound."""
     if p_t is not None:
-        return rng.random(rows) < p_t
-    probs, counts = zip(*gate_devices(params))
-    size = None if rows is None else (rows, len(counts))
-    return ~rng.binomial(counts, 1.0 - np.array(probs), size=size).any(axis=-1)
+        return [p_t]
+    return [p**k for p, k in gate_devices(params)]
 
 
 def stage(
@@ -134,24 +141,27 @@ def stage(
 ) -> StageResult:
     """Send a code block through one segment and its transponder.
 
+    Reads one row of uniforms (rails, gate coins, readout), also when
     `force_event` pins the loss pattern (test hook).  A single loss runs the
     recovery kernel of losscode on the block's two split columns.
     """
     p_t = coin_p_t(gate_model, mode, p_t_override)
     if check_code_space and not losscode.in_code_space(encoded):
         raise ValueError("stage input is not in the code space")
-    event = force_event if force_event is not None else transmit_segment(model, rng)
+    bounds = coin_bounds(gate_model, p_t)
+    row = rng.random(DATA_QUBITS + len(bounds) + 1).tolist()
+    event = force_event if force_event is not None else _loss_event(row[:DATA_QUBITS], model.survival)
     if event.num_lost >= 2:
         return StageResult(STATUS_FAILED_MULTI, None, event)
-    if not gate_coins(gate_model, p_t, rng):
+    if not all(map(operator.lt, row[DATA_QUBITS:-1], bounds)):
         return StageResult(STATUS_FAILED_GATES, None, event)
     if event.num_lost == 0:
         return StageResult(STATUS_INTACT, encoded, event)
-    position = event.lost_position()
+    position = event.survival_mask.index(False)
     # The two values of the lost rail split the block into two columns; one
     # product sends both through all four readout maps.
     columns = encoded.amplitudes[losscode.SPLITS[position]]
     images, weights = losscode.recovery_images(columns, position)
-    choice = losscode.draw_readout([w0 + w1 for w0, w1 in weights], rng)
+    choice = losscode.draw_readout([w0 + w1 for w0, w1 in weights], row[-1])
     kept = losscode.corrected_block(images[choice], weights[choice])
     return StageResult(STATUS_CORRECTED, PureState(DATA_QUBITS, kept), event)

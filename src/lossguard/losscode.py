@@ -235,13 +235,13 @@ def corrected_block(images: np.ndarray, weights: list[float]) -> np.ndarray:
     return kept / math.sqrt(weight)
 
 
-def draw_readout(probs: list[float], rng: np.random.Generator) -> int:
-    """Index of the ancilla readout that one uniform draw selects, readout m
-    weighted by probs[m]."""
+def draw_readout(probs: list[float], u: float) -> int:
+    """Index of the ancilla readout that the uniform u in [0, 1) selects,
+    readout m weighted by probs[m]."""
     total = sum(probs)
     # the last bound is left out, which reads it as exactly 1
     cumulative = list(itertools.accumulate([p / total for p in probs[:-1]]))
-    return bisect_right(cumulative, rng.random())
+    return bisect_right(cumulative, u)
 
 
 def _factor(damaged: DensityMatrix) -> np.ndarray:
@@ -293,7 +293,7 @@ def recover(
     RecoveryError is raised if any falls below fidelity 1 - 1e-10.
     """
     branches = _recover(damaged, loss_position, OUTCOMES, expected)
-    return branches[draw_readout([b.measurement.outcome_probability for b in branches], rng)]
+    return branches[draw_readout([b.measurement.outcome_probability for b in branches], rng.random())]
 
 
 def recover_forced(

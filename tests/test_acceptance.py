@@ -251,8 +251,10 @@ def test_criterion_6_monte_carlo_vs_analytic(report):
             p_t_override=0.75,
         ),
     ]
+    runs = []
     for config in mid_range:
         stats = chainsim.run_chain(config)
+        runs.append(stats)
         p = analytics.survival_prob(config.params.alpha, config.params.d)
         target = analytics.p_f(p) * config.effective_p_t()
         z = (stats.per_stage_success_rate - target) / stats.per_stage_success_stderr
@@ -264,6 +266,7 @@ def test_criterion_6_monte_carlo_vs_analytic(report):
     for stages, seed in ((2, 201), (5, 202), (10, 203)):
         config = ChainConfig(params=base, trials=30_000, num_stages=stages, seed=seed)
         stats = chainsim.run_chain(config)
+        runs.append(stats)
         target = per_stage**stages
         z = (stats.end_to_end_success - target) / stats.end_to_end_stderr
         details.append(f"N{stages} z={z:+.2f}")
@@ -274,6 +277,12 @@ def test_criterion_6_monte_carlo_vs_analytic(report):
     )
     details.append(f"mode z={comparison.z_score:+.2f}")
     ok &= comparison.agree_within_4_sigma
+
+    # each run's status histogram against its per-evaluation expectation
+    runs += [comparison.aggregate, comparison.per_gate]
+    worst = max(abs(z) for stats in runs for z in stats.status_z.values())
+    details.append(f"status max |z|={worst:.2f}")
+    ok &= worst <= 4.0
 
     report(
         "6 Monte Carlo matches the product model",

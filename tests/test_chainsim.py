@@ -14,6 +14,7 @@ import pytest
 from lossguard import chainsim, losscode
 from lossguard.analytics import TransponderParams, p_f, p_t_full, survival_prob
 from lossguard.chainsim import ChainConfig, compare_modes, run_chain, run_loop
+from lossguard.channel import MODE_AGGREGATE, MODE_PER_GATE, STATUSES
 from lossguard.simcore import random_state
 
 MID_PARAMS = TransponderParams(alpha=1.0 / 30.0, d=10.0, n=160, eta=1.0 - 1e-5)
@@ -155,8 +156,8 @@ def test_chunk_depths_count_every_trial_of_their_chunk(monkeypatch):
     cfg = ChainConfig(params=MID_PARAMS, trials=200, num_stages=3, seed=6, max_cycles=4)
     logical = random_state(2, np.random.default_rng(6))
     args = (cfg, losscode.encode(logical), logical)
-    chain = [depths for depths, _ in chainsim._run_chunks(chainsim._chain_chunk, args, cfg, 1)]
-    loop = chainsim._run_chunks(chainsim._loop_chunk, (cfg,), cfg, 1)
+    chain = [depths for depths, _, _ in chainsim._run_chunks(chainsim._chain_chunk, args, cfg, 1)]
+    loop = [depths for depths, _ in chainsim._run_chunks(chainsim._loop_chunk, (cfg,), cfg, 1)]
     for records, cap in ((chain, cfg.num_stages), (loop, cfg.max_cycles)):
         assert [sum(depths.values()) for depths in records] == [70, 70, 60]
         assert all(isinstance(depths, Counter) for depths in records)
@@ -166,9 +167,67 @@ def test_chunk_depths_count_every_trial_of_their_chunk(monkeypatch):
 
 def test_never_failing_loop_keeps_one_depth():
     cfg = ChainConfig(params=IDEAL_PARAMS, trials=3, p_t_override=1.0, max_cycles=20_000)
-    depths = chainsim._loop_chunk(cfg, chainsim._chunk_rng(cfg.seed, 0), cfg.trials)
+    depths, _ = chainsim._loop_chunk(cfg, chainsim._chunk_rng(cfg.seed, 0), cfg.trials)
     assert depths == Counter({20_000: 3})
     assert len(depths) == 1
+
+
+@pytest.mark.parametrize("mode", [MODE_AGGREGATE, MODE_PER_GATE])
+@pytest.mark.parametrize("stages", [1, 3, 10])
+def test_loop_and_chain_read_the_same_rows(monkeypatch, mode, stages):
+    # the loop skips recovery (a corrected cycle returns the block) and the
+    # chain runs it; at one seed both must reach exactly the same depths
+    monkeypatch.setattr(chainsim, "_CHUNK", 3000)
+    cfg = ChainConfig(params=MID_PARAMS, trials=6000, num_stages=stages, max_cycles=stages,
+                      seed=12, mode=mode)
+    logical = random_state(2, np.random.default_rng(12))
+    args = (cfg, losscode.encode(logical), logical)
+    chain = chainsim._run_chunks(chainsim._chain_chunk, args, cfg, 1)
+    loop = chainsim._run_chunks(chainsim._loop_chunk, (cfg,), cfg, 1)
+    assert len(chain) == len(loop) == 2
+    assert [part[:2] for part in chain] == loop
+    chain_stats, loop_stats = run_chain(cfg, logical), run_loop(cfg)
+    assert chain_stats.status_counts == loop_stats.status_counts
+    depths = chain[0][0] + chain[1][0]
+    assert sum(chain_stats.status_counts.values()) == stage_evaluations(depths, stages)
+
+
+def stage_evaluations(depths, cap):
+    """Stages (or cycles) behind a depths record: a trial that failed after
+    k of them ran k + 1, and one that reached the cap ran cap."""
+    return sum((k + (k < cap)) * n for k, n in depths.items())
+
+
+@pytest.mark.parametrize(
+    "mode, override", [(MODE_AGGREGATE, None), (MODE_AGGREGATE, 0.6), (MODE_PER_GATE, None)]
+)
+def test_status_histogram_sits_beside_its_expectation(mode, override):
+    cfg = ChainConfig(params=MID_PARAMS, trials=4_000, num_stages=3, max_cycles=3, seed=14,
+                      mode=mode, p_t_override=override)
+    p, p_t = survival_prob(MID_PARAMS.alpha, MID_PARAMS.d), cfg.effective_p_t()
+    expected = [p**4 * p_t, 4 * p**3 * (1 - p) * p_t, 1 - p_f(p), p_f(p) * (1 - p_t)]
+    chain, loop = run_chain(cfg), run_loop(cfg)
+    for stats, survived in ((chain, chain.end_to_end_success), (loop, loop.censored_fraction)):
+        counts = stats.status_counts
+        assert list(counts) == list(stats.status_expected) == list(stats.status_z) == list(STATUSES)
+        assert list(stats.status_expected.values()) == pytest.approx(expected, rel=1e-12)
+        assert sum(stats.status_expected.values()) == pytest.approx(1.0, rel=1e-12)
+        # every trial that fails does so once; the others reached the cap
+        assert counts["failed_multi_loss"] + counts["failed_gates"] == round(cfg.trials * (1 - survived))
+        evals = sum(counts.values())
+        for status, q in zip(STATUSES, expected):
+            z = (counts[status] - evals * q) / math.sqrt(evals * q * (1 - q))
+            assert stats.status_z[status] == pytest.approx(z, rel=1e-9)
+            assert abs(z) <= 4.0
+
+
+def test_status_histogram_of_an_ideal_channel():
+    cfg = ChainConfig(params=IDEAL_PARAMS, trials=50, num_stages=3, seed=2, p_t_override=1.0)
+    stats = run_chain(cfg)
+    assert stats.status_counts == {"intact": 150, "corrected": 0, "failed_multi_loss": 0, "failed_gates": 0}
+    assert stats.status_expected == {"intact": 1.0, "corrected": 0.0, "failed_multi_loss": 0.0,
+                                     "failed_gates": 0.0}
+    assert stats.status_z == dict.fromkeys(STATUSES, 0.0)
 
 
 def test_run_chain_single_stage_matches_analytics():
@@ -218,7 +277,16 @@ def test_chain_stats_dict_round_trip():
         "mean_fidelity_given_success",
         "empirical_alpha_prime",
         "alpha_prime_is_censored",
+        "status_counts",
+        "status_expected",
+        "status_z",
     }
+
+
+def test_reports_stay_hashable():
+    cfg = ChainConfig(params=MID_PARAMS, trials=20, seed=0)
+    for report in (run_chain(cfg), run_loop(cfg), compare_modes(cfg)):
+        assert hash(report) == hash(dataclasses.replace(report))
 
 
 def test_run_loop_mean_matches_geometric_law():

@@ -19,8 +19,8 @@ from lossguard.channel import (
     LossEvent,
     SegmentModel,
     StageResult,
+    coin_bounds,
     coin_p_t,
-    gate_coins,
     stage,
     transmit_segment,
 )
@@ -105,12 +105,24 @@ def test_transmit_segment_loss_counts_match_binomial():
         assert abs(rate - p) < 4.0 * np.sqrt(p * (1 - p) / draws)
 
 
+LOSSLESS = SegmentModel(alpha=0.0, d=1.0)
+
+
+def gates_fired(params, draws, rng, **gate_model):
+    """How many of `draws` stages on a lossless segment fired their gates."""
+    state = encoded_state()
+    return sum(
+        stage(state, LOSSLESS, params, rng, check_code_space=False, **gate_model).status == STATUS_INTACT
+        for _ in range(draws)
+    )
+
+
 def test_gates_succeed_aggregate_rate():
     rng = np.random.default_rng(17)
     draws = 20_000
     target = coin_p_t(PARAMS, MODE_AGGREGATE, None)
     assert target == p_t_full(PARAMS)
-    hits = sum(gate_coins(PARAMS, target, rng) for _ in range(draws))
+    hits = gates_fired(PARAMS, draws, rng)
     assert abs(hits / draws - target) < 4.0 * np.sqrt(target * (1 - target) / draws)
 
 
@@ -119,84 +131,102 @@ def test_gates_succeed_per_gate_rate():
     rng = np.random.default_rng(23)
     draws = 5_000
     assert coin_p_t(params, MODE_PER_GATE, None) is None
-    hits = sum(gate_coins(params, None, rng) for _ in range(draws))
+    hits = gates_fired(params, draws, rng, mode=MODE_PER_GATE)
     target = p_t_full(params)
     assert abs(hits / draws - target) < 4.0 * np.sqrt(target * (1 - target) / draws)
-
-
-class BinomialLog:
-    """A generator that records the arguments and results of each failure-count draw."""
-
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-        self.calls = []
-        self.draws = []
-
-    def binomial(self, n, p, size=None):
-        self.calls.append((np.asarray(n).tolist(), np.asarray(p).tolist(), size))
-        self.draws.append(self.rng.binomial(n, p, size))
-        return self.draws[-1]
 
 
 # lossy and large: 3.2 million guns and as many detectors per stage, p_t ~ 0.73
 LARGE_N = TransponderParams(alpha=0.0, d=0.0, n=10**5, eta=1.0 - 1e-7)
 
 
-def test_per_gate_coins_draw_failure_counts_per_device_kind():
+def assert_coin_law(params, rows, seed):
+    """Run `rows` per_gate stages on a lossless segment and read the coin
+    columns of the rows they drew from a twin generator: each column fires
+    at p**k of its device kind, and the gates stay intact exactly where
+    every column fires, at p_t_full."""
+    state, rng = encoded_state(), np.random.default_rng(seed)
+    statuses = [stage(state, LOSSLESS, params, rng, mode=MODE_PER_GATE, check_code_space=False).status
+                for _ in range(rows)]
+    bounds = coin_bounds(params, None)
+    assert bounds == [p**k for p, k in gate_devices(params)]
+    assert np.prod(bounds) == pytest.approx(p_t_full(params), rel=1e-12)
+    coins = np.random.default_rng(seed).random((rows, 4 + len(bounds) + 1))[:, 4:-1] < bounds
+    assert [s == STATUS_INTACT for s in statuses] == coins.all(axis=1).tolist()
+    assert set(statuses) == {STATUS_INTACT, STATUS_FAILED_GATES}
+    for kind, column in zip(bounds, coins.T):
+        assert abs(column.mean() - kind) <= 4.0 * np.sqrt(kind * (1 - kind) / rows)
+    target = p_t_full(params)
+    assert abs(coins.all(axis=1).mean() - target) <= 4.0 * np.sqrt(target * (1 - target) / rows)
+
+
+def test_per_gate_coin_columns_fire_at_p_to_the_k():
     params = TransponderParams(alpha=0.0, d=0.0, n=20, eta=0.9999, p_one=0.999, p_spg=0.998)
-    log = BinomialLog(4)
-    fired = gate_coins(params, None, log, 1000)
-    devices = gate_devices(params)
-    assert log.calls == [
-        ([count for _, count in devices], [1.0 - p for p, _ in devices], (1000, len(devices)))
-    ]
-    failures = np.random.default_rng(4).binomial(*log.calls[0])
-    assert fired.tolist() == (failures == 0).all(axis=1).tolist()
-    assert 0 < fired.sum() < 1000
+    assert all(0.0 < bound < 1.0 for bound in coin_bounds(params, None))
+    assert_coin_law(params, 5_000, 4)
 
 
 def test_per_gate_coins_fire_at_the_product_rate_for_large_n():
-    rows = 20_000
-    log = BinomialLog(31)
-    fired = gate_coins(LARGE_N, None, log, rows)
     target = p_t_full(LARGE_N)
     assert 0.7 < target < 0.75
-    assert abs(fired.mean() - target) <= 4.0 * np.sqrt(target * (1 - target) / rows)
-    # and each device kind all fires at p**count
-    for (p, count), failures in zip(gate_devices(LARGE_N), log.draws[0].T):
-        kind = p**count
-        assert abs(np.mean(failures == 0) - kind) <= 4.0 * np.sqrt(kind * (1 - kind) / rows)
+    assert_coin_law(LARGE_N, 20_000, 31)
 
 
 def test_per_gate_coins_memory_does_not_grow_with_the_device_count():
     rng = np.random.default_rng(5)
     tracemalloc.start()
     try:
-        gate_coins(LARGE_N, None, rng, 100)
+        coin_bounds(LARGE_N, None)
+        stage(encoded_state(), LOSSLESS, LARGE_N, rng, mode=MODE_PER_GATE)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("p_t", [0.7, None], ids=["aggregate", "per_gate"])
-def test_one_row_coins_draw_the_batched_stream(p_t):
-    # the stage draws one row per call and the loop draws many rows at once;
-    # both must read the same stream and leave the generator in the same state
-    rows = 300
+def status_of_row(row, survival, bounds, force_event=None):
+    """The status a stage must return for one drawn row."""
+    kept = row[:4] < survival if force_event is None else np.array(force_event.survival_mask)
+    lost = 4 - int(kept.sum())
+    if lost >= 2:
+        return STATUS_FAILED_MULTI
+    if not (row[4:-1] < bounds).all():
+        return STATUS_FAILED_GATES
+    return STATUS_INTACT if lost == 0 else STATUS_CORRECTED
+
+
+@pytest.mark.parametrize("mode, override", [(MODE_AGGREGATE, 0.8), (MODE_PER_GATE, None)])
+@pytest.mark.parametrize("forced", [None, (True, False, True, True)], ids=["drawn", "forced"])
+def test_stage_draws_one_row_per_call(mode, override, forced):
+    # N stage calls read the rows of one (N, width) draw and leave the
+    # generator where that draw leaves it, on every status path; the row's
+    # rails, coins and readout decide the result
+    model = SegmentModel(alpha=0.05, d=10.0)
+    event = None if forced is None else LossEvent(forced)
+    bounds = coin_bounds(PARAMS, coin_p_t(PARAMS, mode, override))
+    calls = 400
     singles, batched = np.random.default_rng(8), np.random.default_rng(8)
-    one_by_one = [gate_coins(LARGE_N, p_t, singles) for _ in range(rows)]
-    assert all(np.ndim(coin) == 0 for coin in one_by_one)
-    assert one_by_one == gate_coins(LARGE_N, p_t, batched, rows).tolist()
+    state = encoded_state()
+    results = [stage(state, model, PARAMS, singles, mode=mode, p_t_override=override,
+                     force_event=event) for _ in range(calls)]
+    rows = batched.random((calls, 4 + len(bounds) + 1))
     assert singles.bit_generator.state == batched.bit_generator.state
-    assert len(gate_coins(LARGE_N, p_t, singles, 0)) == 0
-    assert singles.bit_generator.state == batched.bit_generator.state
+    want = [status_of_row(row, model.survival, bounds, event) for row in rows]
+    assert [result.status for result in results] == want
+    assert set(want) >= {STATUS_FAILED_GATES, STATUS_CORRECTED}
+    if forced is None:
+        assert set(want) == {STATUS_INTACT, STATUS_CORRECTED, STATUS_FAILED_MULTI, STATUS_FAILED_GATES}
+        masks = [tuple((row[:4] < model.survival).tolist()) for row in rows]
+        assert [result.event.survival_mask for result in results] == masks
 
 
 def test_gates_succeed_override_rules():
+    assert coin_bounds(PARAMS, coin_p_t(PARAMS, MODE_AGGREGATE, 1.0)) == [1.0]
+    assert coin_bounds(PARAMS, coin_p_t(PARAMS, MODE_AGGREGATE, 0.0)) == [0.0]
+    assert coin_bounds(PARAMS, coin_p_t(PARAMS, MODE_AGGREGATE, None)) == [p_t_full(PARAMS)]
     rng = np.random.default_rng(0)
-    assert gate_coins(PARAMS, coin_p_t(PARAMS, MODE_AGGREGATE, 1.0), rng)
-    assert not gate_coins(PARAMS, coin_p_t(PARAMS, MODE_AGGREGATE, 0.0), rng)
+    assert gates_fired(PARAMS, 50, rng, p_t_override=1.0) == 50
+    assert gates_fired(PARAMS, 50, rng, p_t_override=0.0) == 0
 
 
 @pytest.mark.parametrize(
@@ -373,14 +403,16 @@ def test_both_recovery_paths_share_the_purity_tolerance(eps, refused):
 
 
 class FixedDraws:
-    """Stands in for a Generator whose random() returns the listed values in turn."""
+    """Stands in for a Generator whose random() returns the listed values in
+    turn: a float for random(), an array of `size` uniforms for random(size)."""
 
     def __init__(self, *values):
         self.values = list(values)
 
     def random(self, size=None):
-        assert size is None
-        return self.values.pop(0)
+        value = self.values.pop(0)
+        assert np.shape(value) == (() if size is None else (size,))
+        return value
 
 
 def product_block(position, seed):
@@ -405,14 +437,14 @@ def test_stage_and_recovery_branches_agree_on_every_readout(position):
         event = LossEvent(tuple(i != position for i in range(4)))
         for m, branch in enumerate(branches):
             lo, hi = sum(probs[:m]), sum(probs[: m + 1])
-            # the first draw is the gate coin and the second picks the readout:
-            # a draw 1e-12 inside either end of readout m's interval picks it
+            # the row's coin column fires and its last column picks the readout:
+            # a uniform 1e-12 inside either end of readout m's interval picks it
             for u in (lo + 1e-12, hi - 1e-12):
                 result = stage(
                     block,
                     SegmentModel(alpha=0.05, d=10.0),
                     PARAMS,
-                    FixedDraws(0.0, u),
+                    FixedDraws(np.array([0.5, 0.5, 0.5, 0.5, 0.0, u])),
                     p_t_override=1.0,
                     force_event=event,
                     check_code_space=False,
@@ -485,8 +517,8 @@ def test_aggregate_and_per_gate_agree_on_average():
     draws = 4_000
     rng_a = np.random.default_rng(55)
     rng_b = np.random.default_rng(56)
-    agg = sum(gate_coins(params, coin_p_t(params, MODE_AGGREGATE, None), rng_a) for _ in range(draws))
-    per = sum(gate_coins(params, coin_p_t(params, MODE_PER_GATE, None), rng_b) for _ in range(draws))
+    agg = gates_fired(params, draws, rng_a, mode=MODE_AGGREGATE)
+    per = gates_fired(params, draws, rng_b, mode=MODE_PER_GATE)
     p = p_t_full(params)
     sigma = np.sqrt(2 * p * (1 - p) / draws)
     assert abs(agg / draws - per / draws) < 4.0 * sigma

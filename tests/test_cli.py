@@ -582,6 +582,21 @@ def test_loop_report(config_file, tmp_path):
     assert ana["bare_half_decay_time"] == pytest.approx(1.0 / (2 * 0.02 * 2.0e5))
 
 
+@pytest.mark.parametrize("mode", ["aggregate_pt", "per_gate"])
+def test_chain_and_loop_print_equal_status_counts(tmp_path, mode):
+    # at one seed a loop capped at 3 cycles reads the rows of a 3-stage chain
+    empirical = {}
+    for command, cap in (("chain", "--stages"), ("loop", "--max-cycles")):
+        out = tmp_path / f"{command}.json"
+        argv = (command, cap, "3", "--seed", "17", "--trials", "3000", "--mode", mode, "--out", str(out))
+        assert run_cli(*argv) == 0
+        empirical[command] = json.loads(out.read_text())["empirical"]
+    chain, loop = empirical["chain"], empirical["loop"]
+    assert chain["status_counts"] == loop["status_counts"]
+    assert chain["status_z"] == loop["status_z"]
+    assert chain["end_to_end_success"] == loop["censored_fraction"] > 0
+
+
 def test_loop_without_failures_is_refused_before_it_runs(tmp_path):
     # at per-cycle success 1 each of the 10,000 default trials would run to
     # the 10**6-cycle cap; the budget refuses the run before any draw

@@ -384,22 +384,12 @@ def test_recovery_rejects_wrong_register_size():
 # the recovery kernel: recovery_images, corrected_block, draw_readout
 
 
-class FixedUniform:
-    """Stands in for a Generator whose next uniform draw is `u`."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
 def test_draw_readout_picks_the_interval_of_the_uniform():
     for u in (0.0, 0.1, 0.3, 0.49, 0.6, 0.8, 0.99):
-        assert losscode.draw_readout([0.25] * 4, FixedUniform(u)) == math.floor(4 * u)
+        assert losscode.draw_readout([0.25] * 4, u) == math.floor(4 * u)
     # a uniform exactly on a bound belongs to the interval on its right
     for m, u in enumerate((0.25, 0.5, 0.75), start=1):
-        assert losscode.draw_readout([0.25] * 4, FixedUniform(u)) == m
+        assert losscode.draw_readout([0.25] * 4, u) == m
 
 
 def test_draw_readout_reads_the_last_bound_as_one():
@@ -407,13 +397,13 @@ def test_draw_readout_reads_the_last_bound_as_one():
     # uniform there is; the last readout must still take it
     probs, top = [0.1, 0.1, 0.6], math.nextafter(1.0, 0.0)
     assert sum(p / sum(probs) for p in probs) == top
-    assert losscode.draw_readout(probs, FixedUniform(top)) == 2
+    assert losscode.draw_readout(probs, top) == 2
 
 
 @pytest.mark.parametrize("probs", [[0, 0.5, 0.5, 0], [0.5, 0, 0, 0.5], [0, 0, 1.0, 0]])
 def test_draw_readout_never_draws_a_zero_weight_readout(probs):
     uniforms = [0.0, 0.25, 0.5, 0.75, 1.0 - 1e-12, math.nextafter(1.0, 0.0)]
-    drawn = {losscode.draw_readout(probs, FixedUniform(u)) for u in uniforms}
+    drawn = {losscode.draw_readout(probs, u) for u in uniforms}
     assert all(probs[m] > 0 for m in drawn)
 
 
