@@ -14,11 +14,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-# Number of one-qubit gates, two-qubit gates, single-photon guns and
-# photodetectors per transponder after folding the QND devices and CNOTs
-# into CZ-based realizations (levels follow the resource table).
-ONE_QUBIT_GATE_COUNT = 38
-TWO_QUBIT_GATE_COUNT = 16
+# Rows of the per-transponder hardware table, `resources`: each level folds
+# more of the circuit into CZ-based, teleported realizations.
 REDUCTION_LEVELS = ("raw", "i", "ii", "iii")
 
 X_SEARCH_LIMIT = 10.0
@@ -174,15 +171,17 @@ def p_t_aggregate(n: int) -> float:
 
 
 def gate_devices(params: TransponderParams) -> tuple[tuple[float, int], ...]:
-    """(success probability, count) of each device kind in one transponder:
-    38 one-qubit gates, 16 two-qubit gates, and 10 + 32n single-photon guns
-    each heralded by a detector."""
-    ancilla_events = 10 + 32 * params.n
+    """(success probability, count) of each device kind in one transponder, read
+    from the "iii" row of `resources`: the one-qubit gates, the teleported CZs,
+    and the single-photon guns, each heralded by one detector at efficiency
+    eta.  eta's exponent is that gun count, 10 + 32n, not the row's pd =
+    10 + 32(n + 1): the other 32 detectors are not in p_t_full."""
+    spg, _, _, cz, one_qubit, _ = _teleported_row(params.n)
     return (
-        (params.p_one, ONE_QUBIT_GATE_COUNT),
-        (gate_success(params.n), TWO_QUBIT_GATE_COUNT),
-        (params.p_spg, ancilla_events),
-        (params.eta, ancilla_events),
+        (params.p_one, one_qubit),
+        (gate_success(params.n), cz),
+        (params.p_spg, spg),
+        (params.eta, spg),
     )
 
 
@@ -253,6 +252,11 @@ def min_break_even_pt() -> tuple[float, float]:
     return math.log(1.5), 0.75
 
 
+def _teleported_row(n: int) -> tuple[int, int, int, int, int, int]:
+    """Level iii of `resources` at n ancilla pairs: (spg, qnd, cnot, cz, one_qubit, pd)."""
+    return (10 + 32 * n, 0, 0, 16, 38, 10 + 32 * (n + 1))
+
+
 def resources(n: int, reduction_level: str) -> ResourceCount:
     """Per-transponder hardware budget at one reduction level.
 
@@ -268,7 +272,7 @@ def resources(n: int, reduction_level: str) -> ResourceCount:
         "raw": (2, 4, 4, 4, 6, 2),
         "i": (10, 0, 12, 4, 14, 10),
         "ii": (10, 0, 0, 16, 38, 10),
-        "iii": (10 + 32 * n, 0, 0, 16, 38, 10 + 32 * (n + 1)),
+        "iii": _teleported_row(n),
     }
     spg, qnd, cnot, cz, one_qubit, pd = rows[reduction_level]
     return ResourceCount(reduction_level, spg, qnd, cnot, cz, one_qubit, pd)

@@ -162,6 +162,7 @@ def stage(
     # product sends both through all four readout maps.
     columns = encoded.amplitudes[losscode.SPLITS[position]]
     images, weights = losscode.recovery_images(columns, position)
+    weights = weights.tolist()
     choice = losscode.draw_readout([w0 + w1 for w0, w1 in weights], row[-1])
     kept = losscode.corrected_block(images[choice], weights[choice])
     return StageResult(STATUS_CORRECTED, PureState(DATA_QUBITS, kept), event)

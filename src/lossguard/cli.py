@@ -22,14 +22,15 @@ import numpy as np
 from lossguard import analytics, chainsim, losscode
 from lossguard.analytics import TransponderParams
 from lossguard.channel import MODES
-from lossguard.losscode import OUTCOMES, RecoveryError, TableDerivationError
+from lossguard.losscode import DATA_QUBITS, OUTCOMES, RECOVERY_TOL, RecoveryError, TableDerivationError
 from lossguard.simcore import ATOL, PureState, fidelity, random_state
 
 DEFAULT_PARAMS = TransponderParams(alpha=1.0 / 30.0, d=10.0, n=160, eta=1.0 - 1e-5)
 
 SWEEP_PT_ETAS = (1.0, 1.0 - 1e-6, 1.0 - 1e-5, 1.0 - 10.0**-4.5)
 MAX_SWEEP_ROWS = 10**6  # sweep-r's default grid is 60,000 rows, sweep-pt's at most 800
-MAX_VERIFY_STATES = 10**6  # ~0.55 ms per state: about 9 minutes at the bound
+MAX_VERIFY_STATES = 10**6  # ~0.06 ms per state: about a minute at the bound
+VERIFY_BLOCK = 1024  # states per array pass of verify's round-trip check
 
 _PARAM_FIELDS = tuple(f.name for f in fields(TransponderParams))
 # each run flag stores to the field it sets; flags win over the config file
@@ -171,31 +172,36 @@ def _check_correction_tables() -> str | None:
 
 
 def _check_recovery(states: int, seed: int) -> str | None:
+    """All states, loss positions and readouts in one array pass per VERIFY_BLOCK states; flagged
+    (state, position) pairs rerun branch by branch, in order, to report the first failure."""
     rng = chainsim.input_rng(seed)
-    for index in range(states):
-        logical = random_state(2, rng)
-        encoded = losscode.encode(logical)
-        for position in range(losscode.DATA_QUBITS):
-            where = {"state_index": index, "loss_position": position}
-            columns = encoded.amplitudes[losscode.SPLITS[position]]
-            images, weights = losscode.recovery_images(columns, position)
+    code = np.stack([word.state.amplitudes for word in losscode.codewords()])
+    for start in range(0, states, VERIFY_BLOCK):
+        logical = [random_state(2, rng) for _ in range(min(VERIFY_BLOCK, states - start))]
+        encoded = np.stack([state.amplitudes for state in logical]) @ code
+        ok = np.empty((len(logical), DATA_QUBITS), dtype=bool)
+        for position in range(DATA_QUBITS):
+            images, weights = losscode.recovery_images(encoded[:, losscode.SPLITS[position]], position)
+            kept, mixed = losscode.corrected_blocks(images, weights)
+            fid = np.abs(kept.conj() @ encoded[:, :, None])[..., 0] ** 2
+            ok[:, position] = np.all(
+                (np.abs(weights.sum(axis=-1) - 0.25) <= ATOL) & (mixed <= RECOVERY_TOL)
+                & (np.abs(np.linalg.norm(kept, axis=-1) ** 2 - 1.0) <= ATOL)
+                & (fid >= 1.0 - RECOVERY_TOL), axis=-1)
+        for i, position in np.argwhere(~ok).tolist():
+            where = {"state_index": start + i, "loss_position": position}
+            images, weights = losscode.recovery_images(encoded[i, losscode.SPLITS[position]], position)
+            weights = weights.tolist()
             probs = [sum(w) for w in weights]
             if not all(abs(p - 0.25) <= ATOL for p in probs):
                 return _dumps({"property": "outcome-uniformity", **where, "probabilities": probs})
             for outcome, branch, branch_weights in zip(OUTCOMES, images, weights):
                 kept = losscode.corrected_block(branch, branch_weights)
-                fid = fidelity(PureState(losscode.DATA_QUBITS, kept), encoded)
-                if not fid >= 1.0 - losscode.RECOVERY_TOL:
-                    return _dumps(
-                        {
-                            "property": "round-trip",
-                            **where,
-                            "outcome": outcome,
-                            "fidelity": fid,
-                            "logical_real": [float(a.real) for a in logical.amplitudes],
-                            "logical_imag": [float(a.imag) for a in logical.amplitudes],
-                        }
-                    )
+                fid = fidelity(PureState(DATA_QUBITS, kept), PureState(DATA_QUBITS, encoded[i]))
+                if not fid >= 1.0 - RECOVERY_TOL:
+                    return _dumps({"property": "round-trip", **where, "outcome": outcome, "fidelity": fid,
+                                   "logical_real": [float(a.real) for a in logical[i].amplitudes],
+                                   "logical_imag": [float(a.imag) for a in logical[i].amplitudes]})
     return None
 
 

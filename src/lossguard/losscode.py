@@ -16,9 +16,9 @@ ancilla readout, picks each readout's Pauli word with an exact code-space
 test, and returns the correction table with the corrected maps;
 `derive_correction_table` and `branch_maps` read from it.
 
-`recovery_images` and `corrected_block` apply the maps to a damaged block
-given as columns C with rho = C C^dagger: the two split columns of a pure
-block, or a factored density matrix.
+`recovery_images` and `corrected_blocks` apply the maps to stacks of blocks,
+each as columns C with rho = C C^dagger (a pure block's two split columns, or
+a factored density matrix); `corrected_block` is the one-block copy `stage` runs.
 """
 
 from __future__ import annotations
@@ -209,18 +209,19 @@ def branch_maps(loss_position: int) -> np.ndarray:
     return _compile(check_count("loss position", loss_position, 0, DATA_QUBITS))[1]
 
 
-def recovery_images(columns: np.ndarray, loss_position: int) -> tuple[np.ndarray, list]:
-    """images[m] = branch_maps(pos)[m] @ columns, and weights[m][j] = |images[m][:, j]|^2
-    as Python floats; readout m has probability sum(weights[m])."""
-    images = branch_maps(loss_position) @ columns
-    return images, (images * images.conj()).real.sum(axis=1).tolist()
+def recovery_images(columns: np.ndarray, loss_position: int) -> tuple[np.ndarray, np.ndarray]:
+    """Images (..., 4, 16, c), branch_maps(pos) @ columns for columns (..., 8, c), and weights
+    (..., 4, c), their squared column norms; weights[..., m, :] sums to readout m's probability."""
+    images = branch_maps(loss_position) @ columns[..., None, :, :]
+    return images, (images * images.conj()).real.sum(axis=-2)
 
 
 def corrected_block(images: np.ndarray, weights: list[float]) -> np.ndarray:
     """One readout's corrected four-rail amplitudes: its heaviest image, normalized.
 
-    Raises RecoveryError when more than RECOVERY_TOL of the readout's weight
-    lies off that image, i.e. when images images^dagger is not pure."""
+    Raises RecoveryError when more than RECOVERY_TOL of the readout's weight lies off
+    that image, i.e. when images images^dagger is not pure.  `stage` runs one block
+    here: on a stack of one, corrected_blocks costs several times as much."""
     total = sum(weights)
     if not total > ZERO_BRANCH_TOL:
         raise ImpossibleBranchError(f"readout has probability {total!r}")
@@ -233,6 +234,17 @@ def corrected_block(images: np.ndarray, weights: list[float]) -> np.ndarray:
     if not off <= RECOVERY_TOL * total:
         raise RecoveryError(f"post-measurement state not pure: mixed weight {off / total:.3g}")
     return kept / math.sqrt(weight)
+
+
+def corrected_blocks(images: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """corrected_block over stacks, images (..., 16, c) and weights (..., c): the kept blocks
+    (..., 16) and their mixed-weight fractions, pure when <= RECOVERY_TOL (NaN is not)."""
+    k = weights.argmax(axis=-1)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero or NaN weight gives NaN
+        kept = np.take_along_axis(images, k[..., None, :], axis=-1)[..., 0]
+        kept = kept / np.sqrt(np.take_along_axis(weights, k, axis=-1))
+        overlaps = np.abs(kept.conj()[..., None, :] @ images) ** 2
+        return kept, 1.0 - overlaps.sum(axis=(-2, -1)) / weights.sum(axis=-1)
 
 
 def draw_readout(probs: list[float], u: float) -> int:
@@ -260,6 +272,7 @@ def _recover(
 ) -> tuple[RecoveryOutcome, ...]:
     """Corrected branches of a heralded loss, one per listed readout."""
     images, weights = recovery_images(_factor(damaged), loss_position)
+    weights = weights.tolist()
     words = derive_correction_table(loss_position).entries
     branches = []
     for outcome in outcomes:

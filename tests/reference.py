@@ -5,15 +5,19 @@ module keeps the independent oracle the tests check those maps against:
 gates applied one at a time to a pure state or a density matrix, fresh
 qubits embedded, ancillae projected, the rank-one result turned back into a
 state vector and a Pauli word applied letter by letter; and the Kronecker
-product of two pure states.
+product of two pure states.  It also keeps `verify`'s round-trip check as
+a loop over one state, loss position and readout at a time, the order in
+which the CLI's stacked check must report its first failure.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from lossguard import chainsim, cli, losscode
 from lossguard.losscode import PAULI_WORDS
 from lossguard.simcore import (
+    ATOL,
     PSD_TOL,
     ZERO_BRANCH_TOL,
     DensityMatrix,
@@ -22,6 +26,8 @@ from lossguard.simcore import (
     MeasurementRecord,
     PureState,
     _checked_matrix,
+    fidelity,
+    random_state,
 )
 
 
@@ -125,3 +131,36 @@ def pure_from_density(rho: DensityMatrix, tol: float = PSD_TOL) -> PureState:
     k = int(np.argmax(np.abs(vec)))
     vec = vec * (vec[k].conj() / abs(vec[k]))
     return PureState(rho.num_qubits, vec / np.linalg.norm(vec))
+
+
+def check_recovery(states: int, seed: int) -> str | None:
+    """`verify`'s round-trip check, one branch at a time: per state, per loss
+    position, readout uniformity, then per readout purity (RecoveryError) and
+    fidelity.  Returns the first failure as the CLI's JSON record."""
+    rng = chainsim.input_rng(seed)
+    for index in range(states):
+        logical = random_state(2, rng)
+        encoded = losscode.encode(logical)
+        for position in range(losscode.DATA_QUBITS):
+            where = {"state_index": index, "loss_position": position}
+            columns = encoded.amplitudes[losscode.SPLITS[position]]
+            images, weights = losscode.recovery_images(columns, position)
+            weights = weights.tolist()
+            probs = [sum(w) for w in weights]
+            if not all(abs(p - 0.25) <= ATOL for p in probs):
+                return cli._dumps({"property": "outcome-uniformity", **where, "probabilities": probs})
+            for outcome, branch, branch_weights in zip(losscode.OUTCOMES, images, weights):
+                kept = losscode.corrected_block(branch, branch_weights)
+                fid = fidelity(PureState(losscode.DATA_QUBITS, kept), encoded)
+                if not fid >= 1.0 - losscode.RECOVERY_TOL:
+                    return cli._dumps(
+                        {
+                            "property": "round-trip",
+                            **where,
+                            "outcome": outcome,
+                            "fidelity": fid,
+                            "logical_real": [float(a.real) for a in logical.amplitudes],
+                            "logical_imag": [float(a.imag) for a in logical.amplitudes],
+                        }
+                    )
+    return None

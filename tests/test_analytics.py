@@ -171,6 +171,17 @@ def test_p_t_full_factorizes():
     assert p_t_full(params) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 16, 56, 160, 10_000])
+def test_gate_devices_read_their_counts_from_the_resource_row(n):
+    row = resources(n, "iii")
+    params = TransponderParams(alpha=0.0, d=0.0, n=n, eta=0.99, p_one=0.98, p_spg=0.97)
+    devices = analytics.gate_devices(params)
+    assert [count for _, count in devices] == [row.one_qubit, row.cz, row.spg, row.spg]
+    assert [count for _, count in devices] == [38, 16, 10 + 32 * n, 10 + 32 * n]
+    # eta's exponent is the photon-gun count, not the row's detector count pd
+    assert devices[3] == (0.99, row.pd - 32)
+
+
 def test_p_t_full_handles_extreme_exponents():
     tiny = p_t_full(TransponderParams(alpha=0.0, d=0.0, n=100_000, eta=0.9999))
     assert 0.0 < tiny < 1e-100

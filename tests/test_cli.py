@@ -16,10 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lossguard import analytics, cli, losscode
+import reference
+from lossguard import analytics, chainsim, cli, losscode
 from lossguard.analytics import TransponderParams
 from lossguard.channel import MODES
-from lossguard.losscode import CorrectionTable
+from lossguard.losscode import OUTCOMES, CorrectionTable
+from lossguard.simcore import random_state
 
 
 def run_cli(*argv):
@@ -90,7 +92,7 @@ def test_verify_fails_closed_on_nan_readout_weights(monkeypatch, capsys):
 
     def nan_weights(columns, position):
         branches, weights = images(columns, position)
-        return branches, [[math.nan] * len(w) for w in weights]
+        return branches, np.full_like(weights, math.nan)
 
     monkeypatch.setattr(losscode, "recovery_images", nan_weights)
     assert run_cli("verify", "--states", "2") == 1
@@ -110,6 +112,123 @@ def test_verify_refuses_more_states_than_the_bound(monkeypatch, capsys):
     bound = cli.MAX_VERIFY_STATES + 1
     expected = f"error: --states must be an integer in [1, {bound}), got {bound}\n"
     assert capsys.readouterr().err == expected
+
+
+# verify's stacked round-trip check against reference.check_recovery, the same
+# check run one state, loss position and readout at a time
+
+
+def _input_block(seed, state_index, position):
+    """The split columns of verify's input number `state_index` at one position."""
+    rng = chainsim.input_rng(seed)
+    for _ in range(state_index + 1):
+        logical = random_state(2, rng)
+    return losscode.encode(logical).amplitudes[losscode.SPLITS[position]]
+
+
+def _nan_weights_at(monkeypatch, seed, state_index, position):
+    """NaN readout weights for one input state at one loss position, stacked or not."""
+    target, images_of = _input_block(seed, state_index, position), losscode.recovery_images
+
+    def patched(columns, pos):
+        images, weights = images_of(columns, pos)
+        if pos == position:
+            weights[np.all(columns == target, axis=(-2, -1))] = math.nan
+        return images, weights
+
+    monkeypatch.setattr(losscode, "recovery_images", patched)
+
+
+def _corrupt_map(monkeypatch, position, outcome, kind):
+    """One readout map made wrong: "phase" flips the sign of |0000> and |1111> (pure,
+    uniform, but not the input), "mixed" blends in the next readout's map after an X
+    on the lost rail (uniform, but its two images are not parallel), "scale" makes it
+    1% too long (pure and the input, but not uniform)."""
+    maps_of, m = losscode.branch_maps, OUTCOMES.index(outcome)
+
+    def patched(pos):
+        maps = maps_of(pos)
+        if pos == position:
+            maps = maps.copy()
+            if kind == "phase":
+                maps[m, [0, 15]] *= -1.0
+            elif kind == "scale":
+                maps[m] *= 1.01
+            else:
+                flip = (np.arange(16) ^ (8 >> pos)).tolist()
+                maps[m] = math.cos(0.3) * maps[m] + math.sin(0.3) * maps[m + 1][flip]
+        return maps
+
+    monkeypatch.setattr(losscode, "branch_maps", patched)
+
+
+def _stacked_and_oracle(monkeypatch, capsys, *argv):
+    """(exit code, stdout, stderr) of `verify` as it runs, then with the oracle in its place."""
+    results = []
+    for check in (cli._check_recovery, reference.check_recovery):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_check_recovery", check)
+            code = run_cli("verify", *argv)
+        results.append((code,) + tuple(capsys.readouterr()))
+    return results
+
+
+@pytest.mark.parametrize(
+    "faults, expected",
+    [
+        ([], None),
+        ([("nan", 3, 1)], {"property": "outcome-uniformity", "state_index": 3, "loss_position": 1}),
+        ([("phase", 1, "01")], {"property": "round-trip", "state_index": 0, "loss_position": 1,
+                                "outcome": "01"}),
+        ([("mixed", 2, "10")], {"property": "round-trip",
+                                "error": "post-measurement state not pure: mixed weight 0.0873"}),
+        ([("scale", 3, "00")], {"property": "outcome-uniformity", "state_index": 0, "loss_position": 3}),
+        # state before position: every state fails at position 2, state 3 also at 0
+        ([("nan", 3, 0), ("phase", 2, "11")], {"state_index": 0, "loss_position": 2}),
+    ],
+    ids=["pass", "nan-state-3", "phase-map", "mixed-map", "scaled-map", "state-major"],
+)
+def test_verify_reports_the_oracles_first_failure(monkeypatch, capsys, faults, expected):
+    for kind, where, what in faults:
+        if kind == "nan":
+            _nan_weights_at(monkeypatch, 11, where, what)
+        else:
+            _corrupt_map(monkeypatch, where, what, kind)
+    stacked, oracle = _stacked_and_oracle(monkeypatch, capsys, "--states", "6", "--seed", "11")
+    assert stacked == oracle
+    code, out, err = stacked
+    if expected is None:
+        assert (code, err) == (0, "") and "PASS round-trip" in out
+    else:
+        detail = json.loads(err)
+        assert code == 1 and "FAIL round-trip" in out
+        assert {key: detail[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize("nan_state", [None, 3, 6], ids=["pass", "block-start", "last-partial-block"])
+def test_verify_blocks_read_as_one_unblocked_pass(monkeypatch, capsys, nan_state):
+    if nan_state is not None:
+        _nan_weights_at(monkeypatch, 5, nan_state, 2)
+    monkeypatch.setattr(cli, "VERIFY_BLOCK", 3)
+    stacked, oracle = _stacked_and_oracle(monkeypatch, capsys, "--states", "7", "--seed", "5")
+    assert stacked == oracle
+    if nan_state is not None:
+        assert json.loads(stacked[2])["state_index"] == nan_state
+
+
+def test_verify_clears_a_flag_the_branch_checks_pass(monkeypatch, capsys):
+    # the array pass may flag a pair that passes the per-branch rerun; verify goes on
+    blocks_of = losscode.corrected_blocks
+
+    def flag_state_two(images, weights):
+        kept, mixed = blocks_of(images, weights)
+        mixed[2] = math.nan
+        return kept, mixed
+
+    monkeypatch.setattr(losscode, "corrected_blocks", flag_state_two)
+    stacked, oracle = _stacked_and_oracle(monkeypatch, capsys, "--states", "4")
+    assert stacked == oracle
+    assert stacked[0] == 0 and "PASS round-trip" in stacked[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Encoding, heralded-loss recovery, and correction-table derivation."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from lossguard.losscode import (
     ANCILLA_QUBITS,
     OUTCOMES,
     RECOVERY_GATES,
+    RECOVERY_TOL,
     CodeSpaceError,
     CorrectionTable,
     RecoveryError,
@@ -445,6 +448,55 @@ def test_corrected_block_refuses_nan():
     images = np.stack([ket("0000", "1111"), np.full(16, nan)], axis=1)
     with pytest.raises(RecoveryError):
         losscode.corrected_block(images, [0.9, 0.1])
+
+
+def test_stacked_kernel_is_bit_equal_to_the_per_block_path():
+    rng = np.random.default_rng(2021)
+    encoded = np.stack([losscode.encode(random_state(2, rng)).amplitudes for _ in range(200)])
+    for position in range(4):
+        maps = losscode.branch_maps(position)
+        images, weights = losscode.recovery_images(encoded[:, losscode.SPLITS[position]], position)
+        kept, mixed = losscode.corrected_blocks(images, weights)
+        assert images.shape == (200, 4, 16, 2) and weights.shape == (200, 4, 2)
+        assert np.all(mixed <= RECOVERY_TOL)
+        for i, block in enumerate(encoded):
+            one_images, one_weights = losscode.recovery_images(block[losscode.SPLITS[position]], position)
+            assert np.array_equal(images[i], one_images) and np.array_equal(weights[i], one_weights)
+            for m in range(len(OUTCOMES)):
+                image = maps[m] @ block[losscode.SPLITS[position]]
+                assert np.array_equal(images[i, m], image)
+                assert np.array_equal(weights[i, m], (image * image.conj()).real.sum(axis=0))
+                expected = losscode.corrected_block(image, weights[i, m].tolist())
+                assert np.array_equal(kept[i, m], expected)
+
+
+def test_both_kernels_flag_a_mixed_stack_alike():
+    v, u = ket("0000", "1111"), ket("0110", "1001")
+    # the second column leans off the first by a growing angle; the first is pure
+    images = np.stack([np.stack([0.8 * v, 0.3 * (math.cos(t) * v + math.sin(t) * u)], axis=1)
+                       for t in (0.0, 0.2, 0.7, 1.3)])
+    weights = (images * images.conj()).real.sum(axis=-2)
+    kept, mixed = losscode.corrected_blocks(images, weights)
+    assert mixed[0] <= RECOVERY_TOL
+    assert np.array_equal(kept[0], losscode.corrected_block(images[0], weights[0].tolist()))
+    for block, block_weights, fraction in zip(images[1:], weights[1:], mixed[1:]):
+        assert not fraction <= RECOVERY_TOL
+        with pytest.raises(RecoveryError, match=re.escape(f"mixed weight {fraction:.3g}") + "$"):
+            losscode.corrected_block(block, block_weights.tolist())
+
+
+def test_stacked_kernel_keeps_the_first_of_equal_images_and_fails_nan_quietly():
+    v = ket("1010", "0101")
+    images = np.stack([v, 1j * v], axis=1)[None]
+    kept, mixed = losscode.corrected_blocks(images, np.array([[1.0, 1.0]]))
+    assert np.array_equal(kept[0], v) and mixed[0] <= RECOVERY_TOL
+    nan = float("nan")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, mixed = losscode.corrected_blocks(
+            np.stack([images[0], np.full((16, 2), nan + 0j), np.zeros((16, 2), complex)]),
+            np.array([[1.0, 1.0], [nan, nan], [0.0, 0.0]]))
+    assert np.isnan(mixed[1:]).all() and mixed[0] <= RECOVERY_TOL
 
 
 # ---------------------------------------------------------------------------
