@@ -15,6 +15,7 @@ import os
 import sys
 from collections.abc import Mapping
 from dataclasses import asdict, fields, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +24,13 @@ from lossguard import analytics, chainsim, losscode
 from lossguard.analytics import TransponderParams
 from lossguard.channel import MODES
 from lossguard.losscode import DATA_QUBITS, OUTCOMES, RECOVERY_TOL, RecoveryError, TableDerivationError
-from lossguard.simcore import ATOL, PureState, fidelity, random_state
+from lossguard.simcore import ATOL, PureState, fidelity
 
 DEFAULT_PARAMS = TransponderParams(alpha=1.0 / 30.0, d=10.0, n=160, eta=1.0 - 1e-5)
 
 SWEEP_PT_ETAS = (1.0, 1.0 - 1e-6, 1.0 - 1e-5, 1.0 - 10.0**-4.5)
 MAX_SWEEP_ROWS = 10**6  # sweep-r's default grid is 60,000 rows, sweep-pt's at most 800
-MAX_VERIFY_STATES = 10**6  # ~0.06 ms per state: about a minute at the bound
+MAX_VERIFY_STATES = 10**6  # ~0.05 ms per state: under a minute at the bound
 VERIFY_BLOCK = 1024  # states per array pass of verify's round-trip check
 
 _PARAM_FIELDS = tuple(f.name for f in fields(TransponderParams))
@@ -171,14 +172,21 @@ def _check_correction_tables() -> str | None:
     return None
 
 
+def _inputs(rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` random_state(2, rng) rows from one draw, bit for bit: norm(..., axis=1) would not be."""
+    normals = rng.standard_normal((count, 2, 4))
+    logical = normals[:, 0] + 1j * normals[:, 1]
+    return logical / np.array([np.linalg.norm(row) for row in logical])[:, None]
+
+
 def _check_recovery(states: int, seed: int) -> str | None:
     """All states, loss positions and readouts in one array pass per VERIFY_BLOCK states; flagged
     (state, position) pairs rerun branch by branch, in order, to report the first failure."""
     rng = chainsim.input_rng(seed)
     code = np.stack([word.state.amplitudes for word in losscode.codewords()])
     for start in range(0, states, VERIFY_BLOCK):
-        logical = [random_state(2, rng) for _ in range(min(VERIFY_BLOCK, states - start))]
-        encoded = np.stack([state.amplitudes for state in logical]) @ code
+        logical = _inputs(rng, min(VERIFY_BLOCK, states - start))
+        encoded = logical @ code
         ok = np.empty((len(logical), DATA_QUBITS), dtype=bool)
         for position in range(DATA_QUBITS):
             images, weights = losscode.recovery_images(encoded[:, losscode.SPLITS[position]], position)
@@ -200,8 +208,8 @@ def _check_recovery(states: int, seed: int) -> str | None:
                 fid = fidelity(PureState(DATA_QUBITS, kept), PureState(DATA_QUBITS, encoded[i]))
                 if not fid >= 1.0 - RECOVERY_TOL:
                     return _dumps({"property": "round-trip", **where, "outcome": outcome, "fidelity": fid,
-                                   "logical_real": [float(a.real) for a in logical[i].amplitudes],
-                                   "logical_imag": [float(a.imag) for a in logical[i].amplitudes]})
+                                   "logical_real": logical[i].real.tolist(),
+                                   "logical_imag": logical[i].imag.tolist()})
     return None
 
 
@@ -439,6 +447,7 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write the JSON report here instead of stdout")
 
 
+@cache  # one parser per process, shared by every caller: parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lossguard",

@@ -8,13 +8,13 @@ ancillae out in the X basis, and applies a conditional Pauli correction on
 the substituted rail.
 
 Every circuit here is a fixed linear map, compiled once by running basis
-states through `simcore.run_circuit`; there are two caches.  `_encoder` is
+states through `simcore.run_circuit`; there are three caches.  `_encoder` is
 the 16x16 encoding circuit: `encode` and `codewords` read its columns and
-`decode_amplitudes` its conjugate.  `_compile(position)` runs the recovery
-circuit on the eight surviving-rail basis states, giving one 16x8 map per
-ancilla readout, picks each readout's Pauli word with an exact code-space
-test, and returns the correction table with the corrected maps;
-`derive_correction_table` and `branch_maps` read from it.
+`decode_amplitudes` its conjugate, and `codewords` keeps its four states.
+`_compile(position)` runs the recovery circuit on the eight surviving-rail
+basis states, giving one 16x8 map per ancilla readout, picks each readout's
+Pauli word with an exact code-space test, and returns the correction table
+with the corrected maps; `derive_correction_table` and `branch_maps` read it.
 
 `recovery_images` and `corrected_blocks` apply the maps to stacks of blocks,
 each as columns C with rho = C C^dagger (a pure block's two split columns, or
@@ -191,6 +191,7 @@ def in_code_space(state: PureState, tol: float = CODE_SPACE_TOL) -> bool:
     return True
 
 
+@lru_cache(maxsize=1)
 def codewords() -> tuple[Codeword, ...]:
     """The four encoded logical basis states."""
     return tuple(

@@ -103,15 +103,33 @@ def test_verify_fails_closed_on_nan_readout_weights(monkeypatch, capsys):
     assert (detail["state_index"], detail["loss_position"]) == (0, 0)
 
 
-def test_verify_refuses_more_states_than_the_bound(monkeypatch, capsys):
-    def no_draw(*args):
-        raise AssertionError("verify drew a state before checking --states")
+class _NoDraws:
+    """An input stream that fails on any draw."""
 
-    monkeypatch.setattr(cli, "random_state", no_draw)
+    def __getattr__(self, name):
+        raise AssertionError(f"verify drew ({name}) before checking --states")
+
+
+def test_verify_refuses_more_states_than_the_bound(monkeypatch, capsys):
+    monkeypatch.setattr(chainsim, "input_rng", lambda seed: _NoDraws())
+    # the patch is live: a run within the bound draws and fails
+    with pytest.raises(AssertionError, match="before checking --states"):
+        run_cli("verify", "--states", "1")
     assert run_cli("verify", "--states", str(cli.MAX_VERIFY_STATES + 1)) == 2
     bound = cli.MAX_VERIFY_STATES + 1
     expected = f"error: --states must be an integer in [1, {bound}), got {bound}\n"
     assert capsys.readouterr().err == expected
+
+
+@pytest.mark.parametrize("count", [1, 3, 1024])
+def test_verify_draws_each_block_as_random_state_one_at_a_time(count):
+    for seed in range(50):
+        block, one_at_a_time = chainsim.input_rng(seed), chainsim.input_rng(seed)
+        rows = cli._inputs(block, count)
+        expected = np.stack([random_state(2, one_at_a_time).amplitudes for _ in range(count)])
+        assert rows.tobytes() == expected.tobytes()
+        # and the stream stops at the same place
+        assert block.bit_generator.state == one_at_a_time.bit_generator.state
 
 
 # verify's stacked round-trip check against reference.check_recovery, the same
@@ -835,6 +853,32 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         run_cli()
     assert err.value.code == 2
+
+
+def test_the_parser_is_built_once_and_reused_without_leftovers(monkeypatch, tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # one call's --eta list does not become the next call's default
+    once, default = tmp_path / "once.csv", tmp_path / "default.csv"
+    assert run_cli("sweep-pt", "--eta", "0.9", "--out", str(once), "--n-steps", "2") == 0
+    assert run_cli("sweep-pt", "--out", str(default), "--n-steps", "2") == 0
+    assert {eta for _, eta, _ in read_csv(once)[1]} == {0.9}
+    assert {eta for _, eta, _ in read_csv(default)[1]} == set(cli.SWEEP_PT_ETAS)
+
+    def verify_after(bad_argv):
+        """(exit code, stdout, stderr) of `verify` run after `bad_argv`'s usage error, if any."""
+        if bad_argv:
+            with pytest.raises(SystemExit) as err:
+                run_cli(*bad_argv)
+            assert err.value.code == 2
+            capsys.readouterr()
+        return (run_cli("verify", "--states", "5", "--seed", "3"),) + tuple(capsys.readouterr())
+
+    errors = [("verify", "--states", "many"), ("verify", "--bogus"), ("chain", "--mode", "x"), ("nope",)]
+    reused = [verify_after(argv) for argv in errors]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = verify_after(None)
+    assert fresh[0] == 0 and "PASS round-trip" in fresh[1]
+    assert reused == [fresh] * len(errors)
 
 
 def test_import_pins_one_blas_thread_unless_set():
