@@ -49,10 +49,10 @@ class ChainConfig:
         for name in ("num_stages", "trials", "seed", "max_cycles", "max_stage_evals"):
             lo = 0 if name == "seed" else 1
             object.__setattr__(self, name, check_count(name, getattr(self, name), lo))
-        channel.coin_p_t(self.params, self.mode, self.p_t_override)
+        channel.coin_bounds(self.params, self.mode, self.p_t_override)
 
     def effective_p_t(self) -> float:
-        return channel.coin_p_t(self.params, MODE_AGGREGATE, self.p_t_override)
+        return channel.coin_bounds(self.params, MODE_AGGREGATE, self.p_t_override)[0]
 
     def stage_success(self) -> float:
         """Closed-form per-stage (or per-cycle) success p_f * p_t."""
@@ -147,7 +147,8 @@ def _chain_chunk(
     survivors.  Every live trial runs stage k, in trial order, before any
     runs stage k + 1, so the chunk reads its rows in the loop's order."""
     model = SegmentModel(config.params.alpha, config.params.d)
-    p_t = channel.coin_p_t(config.params, config.mode, config.p_t_override)
+    # resolved once per chunk, so no stage recomputes p_t_full
+    p_t = config.effective_p_t() if config.mode == MODE_AGGREGATE else None
     depths, statuses, states = Counter(), Counter(), [encoded] * trials
     for depth in range(config.num_stages):
         stage_statuses, survivors = [], []
@@ -265,8 +266,8 @@ def _loop_chunk(config: ChainConfig, rng: np.random.Generator, trials: int) -> t
     trial, however high the cap.
     """
     survival = SegmentModel(config.params.alpha, config.params.d).survival
-    p_t = channel.coin_p_t(config.params, config.mode, config.p_t_override)
-    bounds = np.array([survival] * DATA_QUBITS + channel.coin_bounds(config.params, p_t))
+    coins = channel.coin_bounds(config.params, config.mode, config.p_t_override)
+    bounds = np.array([survival] * DATA_QUBITS + coins)
     # a row's failed columns, as bits (rails first, then coins), index its
     # status in STATUSES order: intact, corrected, multi-loss, gates failed
     bits = np.arange(2 ** len(bounds))

@@ -106,25 +106,20 @@ def transmit_segment(model: SegmentModel, rng: np.random.Generator) -> LossEvent
     return _loss_event(rng.random(DATA_QUBITS).tolist(), model.survival)
 
 
-def coin_p_t(params: TransponderParams, mode: str, p_t_override: float | None) -> float | None:
-    """The gate coin's probability: `p_t_override` if given, else p_t_full, or
-    None for per_gate's per-device coins.  Only aggregate_pt takes an override,
+def coin_bounds(params: TransponderParams, mode: str, p_t_override: float | None = None) -> list[float]:
+    """The gate-coin columns' bounds: [p_t_override] if given, else [p_t_full]
+    in aggregate_pt, or p**k for each `gate_devices` kind in per_gate, the
+    chance that all k devices of the kind fire.  The gates fire when every
+    coin's uniform lies below its bound.  Only aggregate_pt takes an override,
     the one way to express ideal gates (the product is < 1 for every finite n)."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if p_t_override is not None:
         if mode != MODE_AGGREGATE:
             raise ValueError("p_t_override only applies to aggregate_pt")
-        return check_real("p_t_override", p_t_override, 0.0, 1.0)
-    return p_t_full(params) if mode == MODE_AGGREGATE else None
-
-
-def coin_bounds(params: TransponderParams, p_t: float | None) -> list[float]:
-    """The gate-coin columns' bounds: [p_t] for a float `p_t`, else p**k for each
-    `gate_devices` kind, the chance that all k devices of the kind fire.  The
-    gates fire when every coin's uniform lies below its bound."""
-    if p_t is not None:
-        return [p_t]
+        return [check_real("p_t_override", p_t_override, 0.0, 1.0)]
+    if mode == MODE_AGGREGATE:
+        return [p_t_full(params)]
     return [p**k for p, k in gate_devices(params)]
 
 
@@ -145,10 +140,9 @@ def stage(
     `force_event` pins the loss pattern (test hook).  A single loss runs the
     recovery kernel of losscode on the block's two split columns.
     """
-    p_t = coin_p_t(gate_model, mode, p_t_override)
+    bounds = coin_bounds(gate_model, mode, p_t_override)
     if check_code_space and not losscode.in_code_space(encoded):
         raise ValueError("stage input is not in the code space")
-    bounds = coin_bounds(gate_model, p_t)
     row = rng.random(DATA_QUBITS + len(bounds) + 1).tolist()
     event = force_event if force_event is not None else _loss_event(row[:DATA_QUBITS], model.survival)
     if event.num_lost >= 2:
@@ -157,7 +151,7 @@ def stage(
         return StageResult(STATUS_FAILED_GATES, None, event)
     if event.num_lost == 0:
         return StageResult(STATUS_INTACT, encoded, event)
-    position = event.survival_mask.index(False)
+    position = event.lost_position()
     # The two values of the lost rail split the block into two columns; one
     # product sends both through all four readout maps.
     columns = encoded.amplitudes[losscode.SPLITS[position]]

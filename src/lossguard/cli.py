@@ -149,11 +149,9 @@ def _build_run_config(args, raw: dict) -> chainsim.ChainConfig:
 
 def _check_codeword_table() -> str | None:
     for word in losscode.codewords():
-        ket_a, ket_b = losscode.CODEWORD_KETS[word.logical_bits]
-        expected = (
-            PureState.basis(ket_a).amplitudes + PureState.basis(ket_b).amplitudes
-        ) / math.sqrt(2.0)
-        if not np.allclose(word.state.amplitudes, expected, atol=ATOL, rtol=0.0):
+        expected = np.zeros(1 << DATA_QUBITS)
+        expected[[int(ket, 2) for ket in losscode.CODEWORD_KETS[word.logical_bits]]] = math.sqrt(0.5)
+        if not np.abs(word.state.amplitudes - expected).max() <= ATOL:
             return _dumps({"property": "codeword-table", "logical_bits": word.logical_bits})
     return None
 
@@ -372,11 +370,10 @@ def _analytic_loop(config: chainsim.ChainConfig) -> dict:
     return out
 
 
-def _run_report(args, command: str, run, analytic) -> int:
+def _run_report(args, config: chainsim.ChainConfig, run, analytic) -> int:
     """Run the configured simulation and write its report with the closed forms beside it."""
-    config = _build_run_config(args, _load_config(args.config))
     report = {
-        "command": command,
+        "command": args.command,
         "mode": config.mode,
         "seed": config.seed,
         "params": asdict(config.params),
@@ -389,13 +386,15 @@ def _run_report(args, command: str, run, analytic) -> int:
 
 
 def cmd_chain(args) -> int:
+    config = _build_run_config(args, _load_config(args.config))  # first, so --threshold refuses bad flags too
     if args.threshold:
         return cmd_threshold(args)
-    return _run_report(args, "chain", chainsim.run_chain, _analytic_chain)
+    return _run_report(args, config, chainsim.run_chain, _analytic_chain)
 
 
 def cmd_loop(args) -> int:
-    return _run_report(args, "loop", chainsim.run_loop, _analytic_loop)
+    config = _build_run_config(args, _load_config(args.config))
+    return _run_report(args, config, chainsim.run_loop, _analytic_loop)
 
 
 # ---------------------------------------------------------------------------

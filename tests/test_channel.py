@@ -20,7 +20,6 @@ from lossguard.channel import (
     SegmentModel,
     StageResult,
     coin_bounds,
-    coin_p_t,
     stage,
     transmit_segment,
 )
@@ -120,7 +119,7 @@ def gates_fired(params, draws, rng, **gate_model):
 def test_gates_succeed_aggregate_rate():
     rng = np.random.default_rng(17)
     draws = 20_000
-    target = coin_p_t(PARAMS, MODE_AGGREGATE, None)
+    [target] = coin_bounds(PARAMS, MODE_AGGREGATE)
     assert target == p_t_full(PARAMS)
     hits = gates_fired(PARAMS, draws, rng)
     assert abs(hits / draws - target) < 4.0 * np.sqrt(target * (1 - target) / draws)
@@ -130,7 +129,7 @@ def test_gates_succeed_per_gate_rate():
     params = TransponderParams(alpha=0.0, d=0.0, n=200)
     rng = np.random.default_rng(23)
     draws = 5_000
-    assert coin_p_t(params, MODE_PER_GATE, None) is None
+    assert len(coin_bounds(params, MODE_PER_GATE)) == len(gate_devices(params))
     hits = gates_fired(params, draws, rng, mode=MODE_PER_GATE)
     target = p_t_full(params)
     assert abs(hits / draws - target) < 4.0 * np.sqrt(target * (1 - target) / draws)
@@ -148,7 +147,7 @@ def assert_coin_law(params, rows, seed):
     state, rng = encoded_state(), np.random.default_rng(seed)
     statuses = [stage(state, LOSSLESS, params, rng, mode=MODE_PER_GATE, check_code_space=False).status
                 for _ in range(rows)]
-    bounds = coin_bounds(params, None)
+    bounds = coin_bounds(params, MODE_PER_GATE)
     assert bounds == [p**k for p, k in gate_devices(params)]
     assert np.prod(bounds) == pytest.approx(p_t_full(params), rel=1e-12)
     coins = np.random.default_rng(seed).random((rows, 4 + len(bounds) + 1))[:, 4:-1] < bounds
@@ -162,7 +161,7 @@ def assert_coin_law(params, rows, seed):
 
 def test_per_gate_coin_columns_fire_at_p_to_the_k():
     params = TransponderParams(alpha=0.0, d=0.0, n=20, eta=0.9999, p_one=0.999, p_spg=0.998)
-    assert all(0.0 < bound < 1.0 for bound in coin_bounds(params, None))
+    assert all(0.0 < bound < 1.0 for bound in coin_bounds(params, MODE_PER_GATE))
     assert_coin_law(params, 5_000, 4)
 
 
@@ -176,7 +175,7 @@ def test_per_gate_coins_memory_does_not_grow_with_the_device_count():
     rng = np.random.default_rng(5)
     tracemalloc.start()
     try:
-        coin_bounds(LARGE_N, None)
+        coin_bounds(LARGE_N, MODE_PER_GATE)
         stage(encoded_state(), LOSSLESS, LARGE_N, rng, mode=MODE_PER_GATE)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -203,7 +202,7 @@ def test_stage_draws_one_row_per_call(mode, override, forced):
     # rails, coins and readout decide the result
     model = SegmentModel(alpha=0.05, d=10.0)
     event = None if forced is None else LossEvent(forced)
-    bounds = coin_bounds(PARAMS, coin_p_t(PARAMS, mode, override))
+    bounds = coin_bounds(PARAMS, mode, override)
     calls = 400
     singles, batched = np.random.default_rng(8), np.random.default_rng(8)
     state = encoded_state()
@@ -221,9 +220,9 @@ def test_stage_draws_one_row_per_call(mode, override, forced):
 
 
 def test_gates_succeed_override_rules():
-    assert coin_bounds(PARAMS, coin_p_t(PARAMS, MODE_AGGREGATE, 1.0)) == [1.0]
-    assert coin_bounds(PARAMS, coin_p_t(PARAMS, MODE_AGGREGATE, 0.0)) == [0.0]
-    assert coin_bounds(PARAMS, coin_p_t(PARAMS, MODE_AGGREGATE, None)) == [p_t_full(PARAMS)]
+    assert coin_bounds(PARAMS, MODE_AGGREGATE, 1.0) == [1.0]
+    assert coin_bounds(PARAMS, MODE_AGGREGATE, 0.0) == [0.0]
+    assert coin_bounds(PARAMS, MODE_AGGREGATE, None) == [p_t_full(PARAMS)]
     rng = np.random.default_rng(0)
     assert gates_fired(PARAMS, 50, rng, p_t_override=1.0) == 50
     assert gates_fired(PARAMS, 50, rng, p_t_override=0.0) == 0
@@ -241,7 +240,7 @@ def test_gates_succeed_override_rules():
 )
 def test_gate_model_rules_are_shared_by_config_and_coin(mode, override):
     with pytest.raises(ValueError) as coin:
-        coin_p_t(PARAMS, mode, override)
+        coin_bounds(PARAMS, mode, override)
     with pytest.raises(ValueError) as config:
         ChainConfig(params=PARAMS, mode=mode, p_t_override=override)
     assert str(coin.value) == str(config.value)

@@ -72,6 +72,18 @@ def test_verify_list_tables(capsys):
     assert set(records[0]) == {"loss_position", "outcome_bits", "pauli_word"}
 
 
+def test_verify_fails_on_a_wrong_codeword_and_names_the_first(monkeypatch, capsys):
+    # swapping the states of "10" and "11" makes both words wrong; "10" comes first
+    words = {word.logical_bits: word for word in losscode.codewords()}
+    swap = {"10": "11", "11": "10"}
+    wrong = tuple(losscode.Codeword(bits, words[swap.get(bits, bits)].state) for bits in words)
+    monkeypatch.setattr(losscode, "codewords", lambda: wrong)
+    assert run_cli("verify", "--states", "1") == 1
+    captured = capsys.readouterr()
+    assert captured.out == "FAIL codeword-table\n"
+    assert json.loads(captured.err) == {"property": "codeword-table", "logical_bits": "10"}
+
+
 def test_verify_failure_serializes_counterexample(monkeypatch, capsys):
     wrong = {"00": "X", "01": "I", "10": "Z", "11": "XZ"}
     monkeypatch.setattr(
@@ -534,6 +546,20 @@ def test_chain_threshold_is_the_threshold_command(tmp_path, capsys):
     chain = capsys.readouterr().out
     assert chain == threshold.replace("t.json", "c.json")
     assert (tmp_path / "c.json").read_bytes() == (tmp_path / "t.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [["--trials", "-5"], ["--seed", "-1"], ["--stages", "0"], ["--config", "missing.json"]],
+    ids=["trials", "seed", "stages", "missing-config"],
+)
+def test_chain_threshold_refuses_bad_run_flags_like_a_run(bad, tmp_path, capsys):
+    bad = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in bad]
+    assert run_cli("chain", *bad) == 2
+    run = capsys.readouterr()
+    assert run.out == "" and run.err.startswith("error: ")
+    assert run_cli("chain", "--threshold", *bad) == 2
+    assert capsys.readouterr() == run
 
 
 @pytest.mark.parametrize(
