@@ -24,7 +24,7 @@ from lossguard import analytics, chainsim, losscode
 from lossguard.analytics import TransponderParams
 from lossguard.channel import MODES
 from lossguard.losscode import DATA_QUBITS, OUTCOMES, RECOVERY_TOL, RecoveryError, TableDerivationError
-from lossguard.simcore import ATOL, PureState, fidelity
+from lossguard.simcore import ATOL
 
 DEFAULT_PARAMS = TransponderParams(alpha=1.0 / 30.0, d=10.0, n=160, eta=1.0 - 1e-5)
 
@@ -178,36 +178,33 @@ def _inputs(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def _check_recovery(states: int, seed: int) -> str | None:
-    """All states, loss positions and readouts in one array pass per VERIFY_BLOCK states; flagged
-    (state, position) pairs rerun branch by branch, in order, to report the first failure."""
+    """All states, loss positions and readouts in one array pass per VERIFY_BLOCK states, which keeps
+    each readout's tests; the first failure is read from them in state, position, readout order."""
     rng = chainsim.input_rng(seed)
     code = np.stack([word.state.amplitudes for word in losscode.codewords()])
     for start in range(0, states, VERIFY_BLOCK):
         logical = _inputs(rng, min(VERIFY_BLOCK, states - start))
         encoded = logical @ code
-        ok = np.empty((len(logical), DATA_QUBITS), dtype=bool)
+        passes = []
         for position in range(DATA_QUBITS):
             images, weights = losscode.recovery_images(encoded[:, losscode.SPLITS[position]], position)
             kept, mixed = losscode.corrected_blocks(images, weights)
+            probs, norms = weights.sum(axis=-1), np.linalg.norm(kept, axis=-1) ** 2
             fid = np.abs(kept.conj() @ encoded[:, :, None])[..., 0] ** 2
-            ok[:, position] = np.all(
-                (np.abs(weights.sum(axis=-1) - 0.25) <= ATOL) & (mixed <= RECOVERY_TOL)
-                & (np.abs(np.linalg.norm(kept, axis=-1) ** 2 - 1.0) <= ATOL)
-                & (fid >= 1.0 - RECOVERY_TOL), axis=-1)
-        for i, position in np.argwhere(~ok).tolist():
+            sound = (mixed <= RECOVERY_TOL) & (np.abs(norms - 1.0) <= ATOL) & (fid >= 1.0 - RECOVERY_TOL)
+            passes.append((probs, mixed, kept, np.abs(probs - 0.25) <= ATOL, sound))
+        ok = np.stack([np.all(uniform & sound, axis=-1) for *_, uniform, sound in passes], axis=1)
+        if not ok.all():
+            i, position = np.argwhere(~ok)[0].tolist()
+            probs, mixed, kept, uniform, sound = (a[i] for a in passes[position])
             where = {"state_index": start + i, "loss_position": position}
-            images, weights = losscode.recovery_images(encoded[i, losscode.SPLITS[position]], position)
-            weights = weights.tolist()
-            probs = [sum(w) for w in weights]
-            if not all(abs(p - 0.25) <= ATOL for p in probs):
-                return _dumps({"property": "outcome-uniformity", **where, "probabilities": probs})
-            for outcome, branch, branch_weights in zip(OUTCOMES, images, weights):
-                kept = losscode.corrected_block(branch, branch_weights)
-                fid = fidelity(PureState(DATA_QUBITS, kept), PureState(DATA_QUBITS, encoded[i]))
-                if not fid >= 1.0 - RECOVERY_TOL:
-                    return _dumps({"property": "round-trip", **where, "outcome": outcome, "fidelity": fid,
-                                   "logical_real": logical[i].real.tolist(),
-                                   "logical_imag": logical[i].imag.tolist()})
+            if not uniform.all():
+                return _dumps({"property": "outcome-uniformity", **where, "probabilities": probs.tolist()})
+            m = int(np.argmin(sound))  # the first readout mixed (refused here), off norm or unfaithful
+            losscode.check_readout(float(probs[m]), float(mixed[m]))
+            fid = float(np.abs(np.vdot(kept[m], encoded[i])) ** 2)  # as simcore.fidelity, bit for bit
+            return _dumps({"property": "round-trip", **where, "outcome": OUTCOMES[m], "fidelity": fid,
+                           "logical_real": logical[i].real.tolist(), "logical_imag": logical[i].imag.tolist()})
     return None
 
 
@@ -277,8 +274,9 @@ def cmd_sweep_r(args) -> int:
     xs = _grid(args.x_lo, args.x_hi, args.x_steps, log=True, name="x range")
     pts = _grid(args.pt_lo, args.pt_hi, args.pt_steps, log=False, name="p_t range")
     x_list, pt_list = xs.tolist(), pts.tolist()
-    grid = _checked(analytics.r, xs[:, None], pts[None, :]).tolist()
-    contour = list(zip(x_list, analytics.break_even_pt(xs).tolist()))
+    with np.errstate(over="ignore"):  # x near 0 or the float limit: inf, the IEEE answer
+        grid = _checked(analytics.r, xs[:, None], pts[None, :]).tolist()
+        contour = list(zip(x_list, analytics.break_even_pt(xs).tolist()))
     x_star, pt_star = analytics.min_break_even_pt()
 
     if args.format == "csv":
@@ -370,7 +368,7 @@ def _analytic_loop(config: chainsim.ChainConfig) -> dict:
     return out
 
 
-def _run_report(args, config: chainsim.ChainConfig, run, analytic) -> int:
+def _run_report(args, config: chainsim.ChainConfig, workers: int, run, analytic) -> int:
     """Run the configured simulation and write its report with the closed forms beside it."""
     report = {
         "command": args.command,
@@ -378,7 +376,7 @@ def _run_report(args, config: chainsim.ChainConfig, run, analytic) -> int:
         "seed": config.seed,
         "params": asdict(config.params),
         "p_t_override": config.p_t_override,
-        "empirical": run(config, workers=_workers()).to_dict(),
+        "empirical": run(config, workers=workers).to_dict(),
         "analytic": analytic(config),
     }
     _emit(_dumps(report), args.out, "report")
@@ -386,15 +384,15 @@ def _run_report(args, config: chainsim.ChainConfig, run, analytic) -> int:
 
 
 def cmd_chain(args) -> int:
-    config = _build_run_config(args, _load_config(args.config))  # first, so --threshold refuses bad flags too
+    config, workers = _build_run_config(args, _load_config(args.config)), _workers()  # read before --threshold
     if args.threshold:
         return cmd_threshold(args)
-    return _run_report(args, config, chainsim.run_chain, _analytic_chain)
+    return _run_report(args, config, workers, chainsim.run_chain, _analytic_chain)
 
 
 def cmd_loop(args) -> int:
     config = _build_run_config(args, _load_config(args.config))
-    return _run_report(args, config, chainsim.run_loop, _analytic_loop)
+    return _run_report(args, config, _workers(), chainsim.run_loop, _analytic_loop)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ basis states, giving one 16x8 map per ancilla readout, picks each readout's
 Pauli word with an exact code-space test, and returns the correction table
 with the corrected maps; `derive_correction_table` and `branch_maps` read it.
 
-`recovery_images` and `corrected_blocks` apply the maps to stacks of blocks,
-each as columns C with rho = C C^dagger (a pure block's two split columns, or
-a factored density matrix); `corrected_block` is the one-block copy `stage` runs.
+`recovery_images` and `corrected_blocks` apply the maps to stacks of blocks, each
+as columns C with rho = C C^dagger, and `check_readout` judges every kept image; a
+pure block is two split columns, the case `stage` runs alone in `corrected_block`.
 """
 
 from __future__ import annotations
@@ -217,29 +217,28 @@ def recovery_images(columns: np.ndarray, loss_position: int) -> tuple[np.ndarray
     return images, (images * images.conj()).real.sum(axis=-2)
 
 
-def corrected_block(images: np.ndarray, weights: list[float]) -> np.ndarray:
-    """One readout's corrected four-rail amplitudes: its heaviest image, normalized.
-
-    Raises RecoveryError when more than RECOVERY_TOL of the readout's weight lies off
-    that image, i.e. when images images^dagger is not pure.  `stage` runs one block
-    here: on a stack of one, corrected_blocks costs several times as much."""
-    total = sum(weights)
+def check_readout(total: float, mixed: float) -> None:
+    """Refuse a readout of probability `total` with the fraction `mixed` of its weight off its kept
+    image: ImpossibleBranchError unless total > ZERO_BRANCH_TOL, then RecoveryError unless pure."""
     if not total > ZERO_BRANCH_TOL:
         raise ImpossibleBranchError(f"readout has probability {total!r}")
-    k = weights.index(max(weights))
-    kept, weight = images[:, k], weights[k]
-    off = total - weight
-    for j in range(len(weights)):
-        if j != k:
-            off -= abs(np.vdot(kept, images[:, j])) ** 2 / weight
-    if not off <= RECOVERY_TOL * total:
-        raise RecoveryError(f"post-measurement state not pure: mixed weight {off / total:.3g}")
+    if not mixed <= RECOVERY_TOL:
+        raise RecoveryError(f"post-measurement state not pure: mixed weight {mixed:.3g}")
+
+
+def corrected_block(images: np.ndarray, weights: list[float]) -> np.ndarray:
+    """corrected_blocks on one readout of a pure block's two split columns, refused by check_readout:
+    the kernel `stage` runs, as on a stack of one corrected_blocks costs several times as much."""
+    k = int(weights[1] > weights[0])
+    kept, weight, total = images[:, k], weights[k], sum(weights)
+    off = total - weight - abs(np.vdot(kept, images[:, 1 - k])) ** 2 / (weight or math.nan)  # no 0/0 warning
+    check_readout(total, off / total)
     return kept / math.sqrt(weight)
 
 
 def corrected_blocks(images: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """corrected_block over stacks, images (..., 16, c) and weights (..., c): the kept blocks
-    (..., 16) and their mixed-weight fractions, pure when <= RECOVERY_TOL (NaN is not)."""
+    """Each readout's heaviest image, normalized, over stacks images (..., 16, c) and weights (..., c):
+    the kept blocks (..., 16) and the fractions of weight off them, pure when <= RECOVERY_TOL."""
     k = weights.argmax(axis=-1)[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero or NaN weight gives NaN
         kept = np.take_along_axis(images, k[..., None, :], axis=-1)[..., 0]
@@ -273,19 +272,21 @@ def _recover(
 ) -> tuple[RecoveryOutcome, ...]:
     """Corrected branches of a heralded loss, one per listed readout."""
     images, weights = recovery_images(_factor(damaged), loss_position)
-    weights = weights.tolist()
+    kept, mixed = corrected_blocks(images, weights)
+    probs = [sum(w) for w in weights.tolist()]
     words = derive_correction_table(loss_position).entries
     branches = []
     for outcome in outcomes:
         if outcome not in OUTCOMES:
             raise ValueError(f"outcome must be one of {OUTCOMES}, got {outcome!r}")
         m = OUTCOMES.index(outcome)
-        state = PureState(DATA_QUBITS, corrected_block(images[m], weights[m]))
+        check_readout(probs[m], float(mixed[m]))
+        state = PureState(DATA_QUBITS, kept[m])
         if expected is not None:
             fid = fidelity(state, expected)
             if not fid >= 1.0 - RECOVERY_TOL:
                 raise RecoveryError(f"outcome {outcome} recovered with fidelity {fid!r}")
-        record = MeasurementRecord(ANCILLA_QUBITS, tuple(int(b) for b in outcome), sum(weights[m]))
+        record = MeasurementRecord(ANCILLA_QUBITS, tuple(int(b) for b in outcome), probs[m])
         branches.append(RecoveryOutcome(record, state, words[outcome]))
     return tuple(branches)
 

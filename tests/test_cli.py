@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from datetime import timedelta
 from pathlib import Path
 
@@ -246,19 +247,23 @@ def test_verify_blocks_read_as_one_unblocked_pass(monkeypatch, capsys, nan_state
         assert json.loads(stacked[2])["state_index"] == nan_state
 
 
-def test_verify_clears_a_flag_the_branch_checks_pass(monkeypatch, capsys):
-    # the array pass may flag a pair that passes the per-branch rerun; verify goes on
+def test_verify_reports_a_flag_of_the_array_pass_as_final(monkeypatch, capsys):
+    # state 2's kept blocks 1% too long: pure, and faithful by |<kept|input>|^2, but off norm
     blocks_of = losscode.corrected_blocks
 
-    def flag_state_two(images, weights):
+    def long_state_two(images, weights):
         kept, mixed = blocks_of(images, weights)
-        mixed[2] = math.nan
+        kept[2] *= 1.01
         return kept, mixed
 
-    monkeypatch.setattr(losscode, "corrected_blocks", flag_state_two)
-    stacked, oracle = _stacked_and_oracle(monkeypatch, capsys, "--states", "4")
-    assert stacked == oracle
-    assert stacked[0] == 0 and "PASS round-trip" in stacked[1]
+    monkeypatch.setattr(losscode, "corrected_blocks", long_state_two)
+    assert run_cli("verify", "--states", "4") == 1
+    out, err = capsys.readouterr()
+    assert "FAIL round-trip" in out
+    detail = json.loads(err)
+    assert {key: detail[key] for key in ("property", "state_index", "loss_position", "outcome")} == {
+        "property": "round-trip", "state_index": 2, "loss_position": 0, "outcome": "00"}
+    assert detail["fidelity"] == pytest.approx(1.01**2, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +383,23 @@ def test_sweep_r_rejects_bad_ranges(tmp_path, capsys):
     assert run_cli("sweep-r", "--out", out, "--pt-lo", "0.0") == 2
     assert run_cli("sweep-r", "--out", out, "--pt-hi", "1.5") == 2
     assert run_cli("sweep-r", "--out", out, "--x-hi", "inf") == 2
+
+
+@pytest.mark.parametrize(
+    "bound, row, p_t",
+    [(["--x-hi", "800"], -1, math.inf), (["--x-hi", "1.7976931348623157e308"], -1, math.inf),
+     (["--x-lo", "1e-320"], 0, 1.0)],
+    ids=["x-800", "x-max", "x-subnormal"],
+)
+def test_sweep_r_writes_ieee_limits_without_warnings(tmp_path, capsys, bound, row, p_t):
+    # numpy's overflow warnings would name the installed analytics.py on stderr
+    out = tmp_path / "r.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("sweep-r", "--out", str(out), *bound, "--x-steps", "2", "--pt-steps", "2") == 0
+    assert capsys.readouterr().err == ""
+    _, contour = read_csv(out.with_suffix(".contour.csv"))
+    assert contour[row][1] == p_t
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +572,14 @@ def test_chain_threshold_is_the_threshold_command(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "bad",
-    [["--trials", "-5"], ["--seed", "-1"], ["--stages", "0"], ["--config", "missing.json"]],
-    ids=["trials", "seed", "stages", "missing-config"],
+    [["--trials", "-5"], ["--seed", "-1"], ["--stages", "0"], ["--config", "missing.json"],
+     ["LOSSGUARD_THREADS=x"]],
+    ids=["trials", "seed", "stages", "missing-config", "threads-env"],
 )
-def test_chain_threshold_refuses_bad_run_flags_like_a_run(bad, tmp_path, capsys):
-    bad = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in bad]
+def test_chain_threshold_refuses_bad_run_flags_like_a_run(bad, tmp_path, capsys, monkeypatch):
+    for name, value in (arg.split("=") for arg in bad if "=" in arg):
+        monkeypatch.setenv(name, value)
+    bad = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in bad if "=" not in arg]
     assert run_cli("chain", *bad) == 2
     run = capsys.readouterr()
     assert run.out == "" and run.err.startswith("error: ")

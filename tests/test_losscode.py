@@ -377,6 +377,16 @@ def test_recover_forced_validates_arguments():
         losscode.recover_forced(damaged, 5, "00")
 
 
+def test_recovery_api_refuses_an_impossible_readout():
+    # |000> lost at rail 0: readouts 01 and 11 have probability 0, and their kept image is 0/0
+    damaged = PureState.basis("000").to_density_matrix()
+    for refused in (lambda: losscode.recover_forced(damaged, 0, "01"),
+                    lambda: losscode.recovery_branches(damaged, 0)):
+        with pytest.raises(ImpossibleBranchError, match=re.escape("readout has probability 0.0") + "$"):
+            refused()
+    assert losscode.recover_forced(damaged, 0, "00").measurement.outcome_probability == 0.49999999999999967
+
+
 def test_recovery_rejects_wrong_register_size():
     wrong = PureState.basis("00").to_density_matrix()
     with pytest.raises(ValueError):
@@ -442,8 +452,11 @@ def test_corrected_block_refuses_a_mixed_image():
 
 def test_corrected_block_refuses_nan():
     nan = float("nan")
-    with pytest.raises(ImpossibleBranchError):
-        losscode.corrected_block(np.full((16, 2), nan + 0j), [nan, nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for weight in (nan, 0.0):
+            with pytest.raises(ImpossibleBranchError):
+                losscode.corrected_block(np.full((16, 2), weight + 0j), [weight, weight])
     # finite weights, but the column that is not kept is NaN
     images = np.stack([ket("0000", "1111"), np.full(16, nan)], axis=1)
     with pytest.raises(RecoveryError):
