@@ -52,6 +52,10 @@ def commands() -> dict[str, tuple[list[str], dict[str, str | bytes]]]:
         "sweep-r": (["sweep-r", "--out", "r.csv"], {}),
         "sweep-r-json": (["sweep-r", "--format", "json", "--out", "r.json"], {}),
         "sweep-r-7x5": (["sweep-r", "--x-steps", "7", "--pt-steps", "5", "--out", "small.csv"], {}),
+        # the 10**6-row limit (a ~59 MB file), and an x axis whose contour row reads inf
+        "sweep-r-limit": (["sweep-r", "--x-steps", "1000", "--pt-steps", "1000", "--out", "limit.csv"], {}),
+        "sweep-r-x-800": (["sweep-r", "--x-hi", "800", "--x-steps", "2", "--pt-steps", "2",
+                           "--out", "x800.csv"], {}),
         "sweep-pt": (["sweep-pt", "--out", "pt.csv"], {}),
         "sweep-pt-json": (["sweep-pt", "--format", "json", "--out", "pt.json"], {}),
         "threshold": (["threshold", "--out", "threshold.json"], {}),

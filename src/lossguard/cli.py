@@ -9,11 +9,12 @@ codes: 0 success, 1 verification failure, 2 usage, config or file error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import asdict, fields, replace
 from functools import cache
 from pathlib import Path
@@ -29,7 +30,9 @@ from lossguard.simcore import ATOL
 DEFAULT_PARAMS = TransponderParams(alpha=1.0 / 30.0, d=10.0, n=160, eta=1.0 - 1e-5)
 
 SWEEP_PT_ETAS = (1.0, 1.0 - 1e-6, 1.0 - 1e-5, 1.0 - 10.0**-4.5)
-MAX_SWEEP_ROWS = 10**6  # sweep-r's default grid is 60,000 rows, sweep-pt's at most 800
+# default grids: sweep-r 60,000 rows, sweep-pt at most 800; sweep-r's CSV streams one x row at a
+# time, its JSON holds the whole grid
+MAX_SWEEP_ROWS = 10**6
 MAX_VERIFY_STATES = 10**6  # ~0.05 ms per state: under a minute at the bound
 VERIFY_BLOCK = 1024  # states per array pass of verify's round-trip check
 
@@ -75,13 +78,13 @@ def _dumps(obj) -> str:
     return json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
 
 
-def _emit(text: str, out: str | None, what: str | None = None) -> None:
-    """Write text to stdout, or to the file out and then, if `what` names it, say so."""
+def _emit(pieces: Iterable[str], out: str | None, what: str | None = None) -> None:
+    """Write the pieces in turn to stdout, or to the file out and then, if `what` names it, say so."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         if what is not None:
             print(f"wrote {what} to {out}")
 
@@ -275,25 +278,25 @@ def cmd_sweep_r(args) -> int:
     pts = _grid(args.pt_lo, args.pt_hi, args.pt_steps, log=False, name="p_t range")
     x_list, pt_list = xs.tolist(), pts.tolist()
     with np.errstate(over="ignore"):  # x near 0 or the float limit: inf, the IEEE answer
-        grid = _checked(analytics.r, xs[:, None], pts[None, :]).tolist()
+        grid = _checked(analytics.r, xs[:, None], pts[None, :])
         contour = list(zip(x_list, analytics.break_even_pt(xs).tolist()))
     x_star, pt_star = analytics.min_break_even_pt()
 
     if args.format == "csv":
-        # _csv's bytes, each axis value formatted once: one row template, one % per x
+        # _csv's bytes, streamed one x row at a time: one row template, one % per x
         template = [""] + [f",{_fmt(pt)},%.17g\n" for pt in pt_list]
-        rows = [_fmt(x).join(template) % tuple(r_row) for x, r_row in zip(x_list, grid)]
-        _emit("x,p_t,r\n" + "".join(rows), args.out, f"{len(x_list) * len(pt_list)} rows")
+        rows = (_fmt(x).join(template) % tuple(r_row.tolist()) for x, r_row in zip(x_list, grid))
+        _emit(itertools.chain(["x,p_t,r\n"], rows), args.out, f"{grid.size} rows")
         contour_path = str(Path(args.out).with_suffix(".contour.csv"))
-        _emit(_csv("x,p_t", contour), contour_path, "r = 1 contour")
+        _emit([_csv("x,p_t", contour)], contour_path, "r = 1 contour")
     else:
         payload = {
             "grid": [{"x": x, "p_t": pt, "r": rv}
-                     for x, r_row in zip(x_list, grid) for pt, rv in zip(pt_list, r_row)],
+                     for x, r_row in zip(x_list, grid.tolist()) for pt, rv in zip(pt_list, r_row)],
             "contour_r_equals_1": [{"x": x, "p_t": pt} for x, pt in contour],
             "contour_minimum": {"x": x_star, "p_t": pt_star},
         }
-        _emit(_dumps(payload), args.out)
+        _emit([_dumps(payload)], args.out)
     print(f"r = 1 contour minimum: p_t = {_fmt(pt_star)} at x = {_fmt(x_star)}")
     return 0
 
@@ -308,13 +311,13 @@ def cmd_sweep_pt(args) -> int:
     reference = analytics.min_break_even_pt()[1]
 
     if args.format == "csv":
-        _emit(_csv("n,eta,p_t_full", rows), args.out, f"{len(rows)} rows")
+        _emit([_csv("n,eta,p_t_full", rows)], args.out, f"{len(rows)} rows")
     else:
         payload = {
             "grid": [{"n": n, "eta": eta, "p_t_full": pt} for n, eta, pt in rows],
             "reference_p_t": reference,
         }
-        _emit(_dumps(payload), args.out)
+        _emit([_dumps(payload)], args.out)
     print(f"reference line: p_t = {_fmt(reference)}")
     return 0
 
@@ -379,7 +382,7 @@ def _run_report(args, config: chainsim.ChainConfig, workers: int, run, analytic)
         "empirical": run(config, workers=workers).to_dict(),
         "analytic": analytic(config),
     }
-    _emit(_dumps(report), args.out, "report")
+    _emit([_dumps(report)], args.out, "report")
     return 0
 
 
@@ -415,7 +418,7 @@ def cmd_resources(args) -> int:
     for row in table:
         print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
     if args.out is not None:
-        _emit(_dumps([c.as_dict() | {"n": args.n} for c in counts]), args.out, "report")
+        _emit([_dumps([c.as_dict() | {"n": args.n} for c in counts])], args.out, "report")
     return 0
 
 
@@ -428,7 +431,7 @@ def cmd_threshold(args) -> int:
     print(f"minimum usable p_t: {_fmt(report['required_p_t'])} "
           f"at x = {_fmt(report['optimal_x'])}")
     if args.out is not None:
-        _emit(_dumps(report), args.out, "report")
+        _emit([_dumps(report)], args.out, "report")
     return 0
 
 

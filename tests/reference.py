@@ -26,7 +26,6 @@ from lossguard.simcore import (
     MeasurementRecord,
     PureState,
     _checked_matrix,
-    fidelity,
     random_state,
 )
 
@@ -135,8 +134,8 @@ def pure_from_density(rho: DensityMatrix, tol: float = PSD_TOL) -> PureState:
 
 def check_recovery(states: int, seed: int) -> str | None:
     """`verify`'s round-trip check, one branch at a time: per state, per loss
-    position, readout uniformity, then per readout purity (RecoveryError) and
-    fidelity.  Returns the first failure as the CLI's JSON record."""
+    position, readout uniformity, then per readout purity (RecoveryError), norm
+    and fidelity.  Returns the first failure as the CLI's JSON record."""
     rng = chainsim.input_rng(seed)
     for index in range(states):
         logical = random_state(2, rng)
@@ -151,8 +150,9 @@ def check_recovery(states: int, seed: int) -> str | None:
                 return cli._dumps({"property": "outcome-uniformity", **where, "probabilities": probs})
             for outcome, branch, branch_weights in zip(losscode.OUTCOMES, images, weights):
                 kept = losscode.corrected_block(branch, branch_weights)
-                fid = fidelity(PureState(losscode.DATA_QUBITS, kept), encoded)
-                if not fid >= 1.0 - losscode.RECOVERY_TOL:
+                norm = np.linalg.norm(kept) ** 2
+                fid = float(np.abs(np.vdot(kept, encoded.amplitudes)) ** 2)
+                if not (abs(norm - 1.0) <= ATOL and fid >= 1.0 - losscode.RECOVERY_TOL):
                     return cli._dumps(
                         {
                             "property": "round-trip",

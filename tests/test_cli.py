@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from datetime import timedelta
 from pathlib import Path
@@ -248,18 +249,25 @@ def test_verify_blocks_read_as_one_unblocked_pass(monkeypatch, capsys, nan_state
 
 
 def test_verify_reports_a_flag_of_the_array_pass_as_final(monkeypatch, capsys):
-    # state 2's kept blocks 1% too long: pure, and faithful by |<kept|input>|^2, but off norm
-    blocks_of = losscode.corrected_blocks
+    # state 2's kept blocks 1% too long: pure, and faithful by |<kept|input>|^2, but off norm.
+    # Both kernels take the patch: the stacked one runs in verify, the one-block one in the oracle.
+    rng = chainsim.input_rng(42)
+    state_two = [losscode.encode(random_state(2, rng)) for _ in range(3)][2].amplitudes
+    blocks_of, block_of = losscode.corrected_blocks, losscode.corrected_block
 
-    def long_state_two(images, weights):
+    def lengthen_state_two(kept):
+        return np.where(np.abs(kept.conj() @ state_two)[..., None] ** 2 > 1 - 1e-6, 1.01 * kept, kept)
+
+    def long_blocks(images, weights):
         kept, mixed = blocks_of(images, weights)
-        kept[2] *= 1.01
-        return kept, mixed
+        return lengthen_state_two(kept), mixed
 
-    monkeypatch.setattr(losscode, "corrected_blocks", long_state_two)
-    assert run_cli("verify", "--states", "4") == 1
-    out, err = capsys.readouterr()
-    assert "FAIL round-trip" in out
+    monkeypatch.setattr(losscode, "corrected_blocks", long_blocks)
+    monkeypatch.setattr(losscode, "corrected_block", lambda *args: lengthen_state_two(block_of(*args)))
+    stacked, oracle = _stacked_and_oracle(monkeypatch, capsys, "--states", "4")
+    assert stacked == oracle
+    code, out, err = stacked
+    assert code == 1 and "FAIL round-trip" in out
     detail = json.loads(err)
     assert {key: detail[key] for key in ("property", "state_index", "loss_position", "outcome")} == {
         "property": "round-trip", "state_index": 2, "loss_position": 0, "outcome": "00"}
@@ -375,14 +383,35 @@ def test_sweep_r_bytes_match_the_per_point_reference(tmp_path):
 
 def test_sweep_r_rejects_bad_ranges(tmp_path, capsys):
     out = str(tmp_path / "grid.csv")
-    # 10**12 cells: refused before any array is built, not a MemoryError
-    assert run_cli("sweep-r", "--out", out, "--x-steps", "1000000", "--pt-steps", "1000000") == 2
-    assert f"exceeds the limit of {cli.MAX_SWEEP_ROWS}" in capsys.readouterr().err
-    assert run_cli("sweep-r", "--out", out, "--x-steps", "1") == 2
-    assert run_cli("sweep-r", "--out", out, "--x-lo", "2.0", "--x-hi", "1.0") == 2
-    assert run_cli("sweep-r", "--out", out, "--pt-lo", "0.0") == 2
-    assert run_cli("sweep-r", "--out", out, "--pt-hi", "1.5") == 2
-    assert run_cli("sweep-r", "--out", out, "--x-hi", "inf") == 2
+    refusals = [
+        # 10**12 cells: refused before any array is built, not a MemoryError
+        ["--x-steps", "1000000", "--pt-steps", "1000000"],
+        ["--x-steps", "1"],
+        ["--x-lo", "2.0", "--x-hi", "1.0"],
+        ["--pt-lo", "0.0"],
+        ["--pt-hi", "1.5"],
+        ["--x-hi", "inf"],
+    ]
+    for bad in refusals:
+        assert run_cli("sweep-r", "--out", out, *bad) == 2
+        # every check runs before the rows stream: a refused sweep opens no file
+        assert not (tmp_path / "grid.csv").exists()
+        assert not (tmp_path / "grid.contour.csv").exists()
+        if bad == refusals[0]:
+            assert f"exceeds the limit of {cli.MAX_SWEEP_ROWS}" in capsys.readouterr().err
+
+
+def test_sweep_r_csv_peaks_below_its_file_size(tmp_path):
+    out = tmp_path / "grid.csv"
+    argv = ("sweep-r", "--out", str(out), "--x-steps", "300", "--pt-steps", "100")
+    assert run_cli(*argv) == 0  # warm-up: caches and lazy imports stay out of the peak
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size  # the whole CSV in memory took 3.6x its size
 
 
 @pytest.mark.parametrize(
