@@ -56,6 +56,11 @@ def commands() -> dict[str, tuple[list[str], dict[str, str | bytes]]]:
         "sweep-r-limit": (["sweep-r", "--x-steps", "1000", "--pt-steps", "1000", "--out", "limit.csv"], {}),
         "sweep-r-x-800": (["sweep-r", "--x-hi", "800", "--x-steps", "2", "--pt-steps", "2",
                            "--out", "x800.csv"], {}),
+        # JSON at 10**5 rows (the limit would take the base's payload tree over 1.2 GiB), and with null
+        "sweep-r-json-1000x100": (["sweep-r", "--format", "json", "--x-steps", "1000", "--pt-steps", "100",
+                                   "--out", "big.json"], {}),
+        "sweep-r-json-x-800": (["sweep-r", "--format", "json", "--x-hi", "800", "--x-steps", "2",
+                                "--pt-steps", "2", "--out", "x800.json"], {}),
         "sweep-pt": (["sweep-pt", "--out", "pt.csv"], {}),
         "sweep-pt-json": (["sweep-pt", "--format", "json", "--out", "pt.json"], {}),
         "threshold": (["threshold", "--out", "threshold.json"], {}),

@@ -15,6 +15,7 @@ the same stream.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -96,9 +97,14 @@ class StageResult:
             raise ValueError("failed_multi_loss requires at least two losses")
 
 
+# the 16 loss patterns, built and checked once; a LossEvent is frozen, so every stage shares them
+_EVENTS = {mask: LossEvent(mask) for mask in itertools.product((True, False), repeat=DATA_QUBITS)}
+
+
 def _loss_event(rails: list[float], survival: float) -> LossEvent:
     """The rails whose uniform lies below the survival probability kept their photon."""
-    return LossEvent(tuple([u < survival for u in rails]))
+    a, b, c, d = rails
+    return _EVENTS[a < survival, b < survival, c < survival, d < survival]
 
 
 def transmit_segment(model: SegmentModel, rng: np.random.Generator) -> LossEvent:

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import asdict, fields, replace
 from functools import cache
 from pathlib import Path
@@ -30,8 +30,8 @@ from lossguard.simcore import ATOL
 DEFAULT_PARAMS = TransponderParams(alpha=1.0 / 30.0, d=10.0, n=160, eta=1.0 - 1e-5)
 
 SWEEP_PT_ETAS = (1.0, 1.0 - 1e-6, 1.0 - 1e-5, 1.0 - 10.0**-4.5)
-# default grids: sweep-r 60,000 rows, sweep-pt at most 800; sweep-r's CSV streams one x row at a
-# time, its JSON holds the whole grid
+# default grids: sweep-r 60,000 rows, sweep-pt at most 800; sweep-r's CSV and JSON stream one x row
+# at a time
 MAX_SWEEP_ROWS = 10**6
 MAX_VERIFY_STATES = 10**6  # ~0.05 ms per state: under a minute at the bound
 VERIFY_BLOCK = 1024  # states per array pass of verify's round-trip check
@@ -76,6 +76,19 @@ def _jsonable(obj):
 
 def _dumps(obj) -> str:
     return json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
+
+
+def _json_number(value: float) -> str:
+    """A float as _dumps writes it: repr, or null where it is not finite."""
+    return repr(value) if math.isfinite(value) else "null"
+
+
+def _json_items(items: Iterable[str]) -> Iterator[str]:
+    """A JSON array's item texts with _dumps' separator between them."""
+    separator = ""
+    for item in items:
+        yield separator + item
+        separator = ",\n"
 
 
 def _emit(pieces: Iterable[str], out: str | None, what: str | None = None) -> None:
@@ -290,13 +303,17 @@ def cmd_sweep_r(args) -> int:
         contour_path = str(Path(args.out).with_suffix(".contour.csv"))
         _emit([_csv("x,p_t", contour)], contour_path, "r = 1 contour")
     else:
-        payload = {
-            "grid": [{"x": x, "p_t": pt, "r": rv}
-                     for x, r_row in zip(x_list, grid.tolist()) for pt, rv in zip(pt_list, r_row)],
-            "contour_r_equals_1": [{"x": x, "p_t": pt} for x, pt in contour],
-            "contour_minimum": {"x": x_star, "p_t": pt_star},
-        }
-        _emit([_dumps(payload)], args.out)
+        # _dumps' bytes (sorted keys, indent 2), streamed: one % per contour point and per x row
+        head = ('{\n  "contour_minimum": {\n    "p_t": %s,\n    "x": %s\n  },\n  "contour_r_equals_1": [\n'
+                % (_json_number(pt_star), _json_number(x_star)))
+        points = ('    {\n      "p_t": %s,\n      "x": %s\n    }' % (_json_number(pt), _json_number(x))
+                  for x, pt in contour)
+        # a grid entry ends in its row's x: the p_t axis' entries joined by the x and a close
+        entries = [f'    {{\n      "p_t": {_json_number(pt)},\n      "r": %s,\n      "x": ' for pt in pt_list]
+        rows = (((x + "\n    },\n").join(entries) + x + "\n    }") % tuple(map(_json_number, r_row.tolist()))
+                for x, r_row in zip(map(_json_number, x_list), grid))
+        _emit(itertools.chain([head], _json_items(points), ['\n  ],\n  "grid": [\n'], _json_items(rows),
+                              ["\n  ]\n}\n"]), args.out)
     print(f"r = 1 contour minimum: p_t = {_fmt(pt_star)} at x = {_fmt(x_star)}")
     return 0
 

@@ -212,8 +212,13 @@ def branch_maps(loss_position: int) -> np.ndarray:
 
 def recovery_images(columns: np.ndarray, loss_position: int) -> tuple[np.ndarray, np.ndarray]:
     """Images (..., 4, 16, c), branch_maps(pos) @ columns for columns (..., 8, c), and weights
-    (..., 4, c), their squared column norms; weights[..., m, :] sums to readout m's probability."""
-    images = branch_maps(loss_position) @ columns[..., None, :, :]
+    (..., 4, c), their squared column norms; weights[..., m, :] sums to readout m's probability.
+
+    One 2-D product of the maps flattened to (64, 8): bit-equal to the per-readout products,
+    since a map row has at most one nonzero entry, so each image entry is one rounded product."""
+    maps = branch_maps(loss_position)
+    images = maps.reshape(-1, maps.shape[-1]) @ columns
+    images = images.reshape(columns.shape[:-2] + maps.shape[:2] + columns.shape[-1:])
     return images, (images * images.conj()).real.sum(axis=-2)
 
 

@@ -1,12 +1,13 @@
 """Stage-level loss events and gate coins."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from lossguard import losscode
+from lossguard import channel, losscode
 from lossguard.analytics import TransponderParams, gate_devices, p_f, p_t_full, survival_prob
 from lossguard.chainsim import ChainConfig
 from lossguard.channel import (
@@ -77,6 +78,23 @@ def test_loss_event_accepts_booleans_and_zero_one():
         event = LossEvent(mask)
         assert event.survival_mask == (True, True, False, True)
         assert all(type(kept) is bool for kept in event.survival_mask)
+
+
+def test_one_prebuilt_event_per_loss_pattern():
+    # the 16 events are built once; the segment and the stage hand out the same objects
+    events = {}
+    for mask in itertools.product((True, False), repeat=4):
+        rails = [0.25 if kept else 0.75 for kept in mask]
+        event = channel._loss_event(rails, 0.5)
+        assert event == LossEvent(mask) and event.num_lost == LossEvent(mask).num_lost
+        assert channel._loss_event(rails, 0.5) is event
+        events[mask] = event
+    rng = np.random.default_rng(12)
+    model = SegmentModel(alpha=0.05, d=10.0)
+    drawn = [transmit_segment(model, rng) for _ in range(200)]
+    drawn += [stage(encoded_state(), model, PARAMS, rng, p_t_override=1.0).event for _ in range(200)]
+    assert all(event is events[event.survival_mask] for event in drawn)
+    assert {event.num_lost for event in drawn} >= {0, 1, 2}
 
 
 def test_transmit_segment_loss_counts_match_binomial():

@@ -414,6 +414,19 @@ def test_sweep_r_csv_peaks_below_its_file_size(tmp_path):
     assert peak < out.stat().st_size  # the whole CSV in memory took 3.6x its size
 
 
+def test_sweep_r_json_peaks_below_its_file_size(tmp_path):
+    out = tmp_path / "grid.json"
+    argv = ("sweep-r", "--out", str(out), "--format", "json", "--x-steps", "300", "--pt-steps", "100")
+    assert run_cli(*argv) == 0  # warm-up: caches and lazy imports stay out of the peak
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size  # the whole payload tree in memory took 11x its size
+
+
 @pytest.mark.parametrize(
     "bound, row, p_t",
     [(["--x-hi", "800"], -1, math.inf), (["--x-hi", "1.7976931348623157e308"], -1, math.inf),
@@ -429,6 +442,16 @@ def test_sweep_r_writes_ieee_limits_without_warnings(tmp_path, capsys, bound, ro
     assert capsys.readouterr().err == ""
     _, contour = read_csv(out.with_suffix(".contour.csv"))
     assert contour[row][1] == p_t
+    # the streamed JSON is _dumps' text of its own payload, a non-finite value as null
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("sweep-r", "--out", str(out), "--format", "json", *bound, "--x-steps", "2",
+                       "--pt-steps", "2") == 0
+    text = out.read_text(encoding="utf-8")
+    payload = json.loads(text)
+    assert cli._dumps(payload) == text
+    assert payload["contour_r_equals_1"][row]["p_t"] == (None if math.isinf(p_t) else p_t)
 
 
 # ---------------------------------------------------------------------------

@@ -437,6 +437,22 @@ def test_recovery_images_weights_are_the_squared_column_norms(position):
     assert sum(map(sum, weights)) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("position", range(4))
+def test_recovery_images_is_bit_equal_to_the_per_readout_products(position):
+    # every map row has at most one nonzero entry, so each image entry is one rounded
+    # product plus exact zeros, whatever order a product sums in
+    maps = losscode.branch_maps(position)
+    assert np.all(np.count_nonzero(maps, axis=-1) <= 1)
+    rng = np.random.default_rng(90 + position)
+    # one block's split columns, verify's stack of blocks, and _recover's square factor
+    for shape in [(8, 2), (1024, 8, 2), (8, 8)]:
+        columns = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        images, _ = losscode.recovery_images(columns, position)
+        assert images.shape == shape[:-2] + (4, 16, shape[-1])
+        for m in range(len(OUTCOMES)):
+            assert np.array_equal(images[..., m, :, :], maps[m] @ columns)
+
+
 def test_corrected_block_keeps_the_normalized_image_of_parallel_columns():
     v = ket("0000", "1111")
     images = np.outer(3.0 * v, [0.6, 0.8])
