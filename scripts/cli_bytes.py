@@ -61,6 +61,10 @@ def commands() -> dict[str, tuple[list[str], dict[str, str | bytes]]]:
                                    "--out", "big.json"], {}),
         "sweep-r-json-x-800": (["sweep-r", "--format", "json", "--x-hi", "800", "--x-steps", "2",
                                 "--pt-steps", "2", "--out", "x800.json"], {}),
+        # a long x axis, where the contour is the larger output per x: 10**6 rows in each format
+        "sweep-r-long-x": (["sweep-r", "--x-steps", "500000", "--pt-steps", "2", "--out", "long.csv"], {}),
+        "sweep-r-json-long-x": (["sweep-r", "--format", "json", "--x-steps", "500000", "--pt-steps", "2",
+                                 "--out", "long.json"], {}),
         "sweep-pt": (["sweep-pt", "--out", "pt.csv"], {}),
         "sweep-pt-json": (["sweep-pt", "--format", "json", "--out", "pt.json"], {}),
         "threshold": (["threshold", "--out", "threshold.json"], {}),

@@ -18,6 +18,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import weakref
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -157,12 +159,35 @@ def stage(
         return StageResult(STATUS_FAILED_GATES, None, event)
     if event.num_lost == 0:
         return StageResult(STATUS_INTACT, encoded, event)
-    position = event.lost_position()
+    return StageResult(STATUS_CORRECTED, _corrected(encoded, event.lost_position(), row[-1]), event)
+
+
+# block -> {lost rail: (readout bounds, a weak reference to each readout's corrected block)}: blocks
+# are held weakly on both sides, so the table keeps none alive, and a repeated (block, rail, readout)
+# gets the same immutable block.  Images are recomputed per readout: kept, they doubled memory.
+_RECOVERIES: weakref.WeakKeyDictionary[PureState, dict] = weakref.WeakKeyDictionary()
+
+
+def _corrected(encoded: PureState, position: int, u: float) -> PureState:
+    """The block left by the readout that u picks after a loss at `position`: built and judged by
+    corrected_block on that readout's first pick, then read from the table while it lives."""
+    rails = _RECOVERIES.get(encoded)
+    if rails is None:
+        rails = _RECOVERIES[encoded] = {}
+    bounds, refs = rails.get(position, (None, None))
+    if bounds is not None:
+        ref = refs[bisect_right(bounds, u)]
+        kept = ref and ref()
+        if kept is not None:
+            return kept
     # The two values of the lost rail split the block into two columns; one
     # product sends both through all four readout maps.
-    columns = encoded.amplitudes[losscode.SPLITS[position]]
-    images, weights = losscode.recovery_images(columns, position)
+    images, weights = losscode.recovery_images(encoded.amplitudes[losscode.SPLITS[position]], position)
     weights = weights.tolist()
-    choice = losscode.draw_readout([w0 + w1 for w0, w1 in weights], row[-1])
-    kept = losscode.corrected_block(images[choice], weights[choice])
-    return StageResult(STATUS_CORRECTED, PureState(DATA_QUBITS, kept), event)
+    if bounds is None:
+        bounds, refs = losscode.readout_bounds([w0 + w1 for w0, w1 in weights]), [None] * len(weights)
+        rails[position] = bounds, refs
+    choice = bisect_right(bounds, u)
+    kept = PureState(DATA_QUBITS, losscode.corrected_block(images[choice], weights[choice]))
+    refs[choice] = weakref.ref(kept)
+    return kept

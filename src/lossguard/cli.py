@@ -289,29 +289,30 @@ def cmd_sweep_r(args) -> int:
     _check_rows(args.x_steps * args.pt_steps)
     xs = _grid(args.x_lo, args.x_hi, args.x_steps, log=True, name="x range")
     pts = _grid(args.pt_lo, args.pt_hi, args.pt_steps, log=False, name="p_t range")
-    x_list, pt_list = xs.tolist(), pts.tolist()
+    pt_list = pts.tolist()
     with np.errstate(over="ignore"):  # x near 0 or the float limit: inf, the IEEE answer
         grid = _checked(analytics.r, xs[:, None], pts[None, :])
-        contour = list(zip(x_list, analytics.break_even_pt(xs).tolist()))
+        contour = analytics.break_even_pt(xs)
     x_star, pt_star = analytics.min_break_even_pt()
 
     if args.format == "csv":
-        # _csv's bytes, streamed one x row at a time: one row template, one % per x
+        # _csv's bytes, streamed one x at a time with no list over the x axis: one % per x
         template = [""] + [f",{_fmt(pt)},%.17g\n" for pt in pt_list]
-        rows = (_fmt(x).join(template) % tuple(r_row.tolist()) for x, r_row in zip(x_list, grid))
+        rows = (_fmt(x).join(template) % tuple(r_row.tolist()) for x, r_row in zip(xs, grid))
         _emit(itertools.chain(["x,p_t,r\n"], rows), args.out, f"{grid.size} rows")
-        contour_path = str(Path(args.out).with_suffix(".contour.csv"))
-        _emit([_csv("x,p_t", contour)], contour_path, "r = 1 contour")
+        points = map("%.17g,%.17g\n".__mod__, zip(xs, contour))
+        _emit(itertools.chain(["x,p_t\n"], points), str(Path(args.out).with_suffix(".contour.csv")),
+              "r = 1 contour")
     else:
         # _dumps' bytes (sorted keys, indent 2), streamed: one % per contour point and per x row
         head = ('{\n  "contour_minimum": {\n    "p_t": %s,\n    "x": %s\n  },\n  "contour_r_equals_1": [\n'
                 % (_json_number(pt_star), _json_number(x_star)))
         points = ('    {\n      "p_t": %s,\n      "x": %s\n    }' % (_json_number(pt), _json_number(x))
-                  for x, pt in contour)
+                  for x, pt in zip(map(float, xs), map(float, contour)))
         # a grid entry ends in its row's x: the p_t axis' entries joined by the x and a close
         entries = [f'    {{\n      "p_t": {_json_number(pt)},\n      "r": %s,\n      "x": ' for pt in pt_list]
         rows = (((x + "\n    },\n").join(entries) + x + "\n    }") % tuple(map(_json_number, r_row.tolist()))
-                for x, r_row in zip(map(_json_number, x_list), grid))
+                for x, r_row in zip(map(_json_number, map(float, xs)), grid))
         _emit(itertools.chain([head], _json_items(points), ['\n  ],\n  "grid": [\n'], _json_items(rows),
                               ["\n  ]\n}\n"]), args.out)
     print(f"r = 1 contour minimum: p_t = {_fmt(pt_star)} at x = {_fmt(x_star)}")

@@ -252,13 +252,17 @@ def corrected_blocks(images: np.ndarray, weights: np.ndarray) -> tuple[np.ndarra
         return kept, 1.0 - overlaps.sum(axis=(-2, -1)) / weights.sum(axis=-1)
 
 
+def readout_bounds(probs: list[float]) -> list[float]:
+    """Upper bounds of the uniform for each readout but the last, readout m weighted by probs[m]."""
+    total = sum(probs)
+    # the last bound is left out, which reads it as exactly 1
+    return list(itertools.accumulate([p / total for p in probs[:-1]]))
+
+
 def draw_readout(probs: list[float], u: float) -> int:
     """Index of the ancilla readout that the uniform u in [0, 1) selects,
     readout m weighted by probs[m]."""
-    total = sum(probs)
-    # the last bound is left out, which reads it as exactly 1
-    cumulative = list(itertools.accumulate([p / total for p in probs[:-1]]))
-    return bisect_right(cumulative, u)
+    return bisect_right(readout_bounds(probs), u)
 
 
 def _factor(damaged: DensityMatrix) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Stage-level loss events and gate coins."""
 
+import gc
 import itertools
+import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from scipy import stats as sps
 
 from lossguard import channel, losscode
 from lossguard.analytics import TransponderParams, gate_devices, p_f, p_t_full, survival_prob
-from lossguard.chainsim import ChainConfig
+from lossguard.chainsim import ChainConfig, run_chain
 from lossguard.channel import (
     MODE_AGGREGATE,
     MODE_PER_GATE,
@@ -539,3 +542,94 @@ def test_aggregate_and_per_gate_agree_on_average():
     p = p_t_full(params)
     sigma = np.sqrt(2 * p * (1 - p) / draws)
     assert abs(agg / draws - per / draws) < 4.0 * sigma
+
+
+# ---------------------------------------------------------------------------
+# the corrected path's per-block table
+
+
+def readout_pick(block, rail, m):
+    """The uniform mid-way in readout m's interval after a loss at `rail`, and readout m's images
+    and weights, from recovery_images and draw_readout directly."""
+    images, weights = losscode.recovery_images(block.amplitudes[losscode.SPLITS[rail]], rail)
+    weights = weights.tolist()
+    probs = [w0 + w1 for w0, w1 in weights]
+    edges = [0.0, *losscode.readout_bounds(probs), 1.0]
+    u = (edges[m] + edges[m + 1]) / 2
+    assert losscode.draw_readout(probs, u) == m
+    return u, images[m], weights[m]
+
+
+def corrected_by_stage(block, rail, u):
+    """stage's block after a loss at `rail` and the readout uniform u, from one stub row."""
+    row = np.array([0.999 if i == rail else 0.0 for i in range(4)] + [0.0, u])
+    result = stage(block, SegmentModel(alpha=0.05, d=10.0), PARAMS, FixedDraws(row), p_t_override=1.0,
+                   check_code_space=False)
+    assert result.status == STATUS_CORRECTED
+    return result.state
+
+
+def test_table_blocks_are_bit_equal_to_the_direct_recovery():
+    first = encoded_state(21)
+    second = corrected_by_stage(first, 2, readout_pick(first, 2, 3)[0])  # a corrected block, run again
+    for block in (first, second):
+        for rail, m in itertools.product(range(4), range(4)):
+            u, images, weights = readout_pick(block, rail, m)
+            kept = losscode.corrected_block(images, weights)
+            got = corrected_by_stage(block, rail, u)
+            assert np.array_equal(got.amplitudes, kept) and got.amplitudes.tobytes() == kept.tobytes()
+            assert corrected_by_stage(block, rail, u) is got
+
+
+def test_table_hands_out_one_block_per_readout_while_it_lives():
+    block = encoded_state(22)
+    u = readout_pick(block, 1, 2)[0]
+    kept = corrected_by_stage(block, 1, u)
+    assert corrected_by_stage(block, 1, u) is kept
+    assert corrected_by_stage(block, 1, readout_pick(block, 1, 0)[0]) is not kept
+    ref, data = weakref.ref(kept), kept.amplitudes.tobytes()
+    del kept
+    gc.collect()
+    assert ref() is None  # the table does not keep a handed-out block alive
+    assert corrected_by_stage(block, 1, u).amplitudes.tobytes() == data
+    # nor the block it is keyed on
+    block_ref, size = weakref.ref(block), len(channel._RECOVERIES)
+    del block
+    gc.collect()
+    assert block_ref() is None and len(channel._RECOVERIES) == size - 1
+
+
+def test_table_is_empty_after_a_chain_run(monkeypatch):
+    class CountingTable(weakref.WeakKeyDictionary):
+        stored = 0
+
+        def __setitem__(self, key, value):
+            self.stored += 1
+            super().__setitem__(key, value)
+
+    table = CountingTable()
+    monkeypatch.setattr(channel, "_RECOVERIES", table)
+    stats = run_chain(ChainConfig(params=PARAMS, num_stages=5, trials=300, seed=4))
+    assert stats.status_counts[STATUS_CORRECTED] > 0 and table.stored > 0
+    assert len(table) == 0
+
+
+def test_stage_refuses_a_mixed_readout_of_a_fresh_block(monkeypatch):
+    # readout m's map at one position blended with the next readout's after an X on the lost
+    # rail: its two images are no longer parallel, so the kept block is mixed
+    position, m, maps_of = 2, 2, losscode.branch_maps
+
+    def mixed(pos):
+        maps = maps_of(pos)
+        if pos == position:
+            maps = maps.copy()
+            flip = (np.arange(16) ^ (8 >> pos)).tolist()
+            maps[m] = math.cos(0.3) * maps[m] + math.sin(0.3) * maps[m + 1][flip]
+        return maps
+
+    monkeypatch.setattr(losscode, "branch_maps", mixed)
+    block = encoded_state(23)
+    u = readout_pick(block, position, m)[0]
+    for _ in range(2):  # a refused readout is not stored, so it is refused again
+        with pytest.raises(losscode.RecoveryError, match="not pure"):
+            corrected_by_stage(block, position, u)

@@ -414,6 +414,32 @@ def test_sweep_r_csv_peaks_below_its_file_size(tmp_path):
     assert peak < out.stat().st_size  # the whole CSV in memory took 3.6x its size
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_r_writes_a_long_contour_in_less_than_its_file_size(tmp_path, fmt):
+    # at two p_t steps the contour is the larger output per x, and the arrays alone (r's and
+    # break_even_pt's temporaries included) peak near the contour file's size: writing the files
+    # must add less than that size to the arrays' peak (a contour held whole added 2.5x it in
+    # JSON and 7x in CSV)
+    steps, out = 50_000, tmp_path / f"grid.{fmt}"
+    argv = ("sweep-r", "--x-steps", str(steps), "--pt-steps", "2", "--format")
+    assert run_cli(*argv, "csv", "--out", str(tmp_path / "grid.csv")) == 0  # also warms up
+    contour_size = (tmp_path / "grid.contour.csv").stat().st_size
+    args = cli.build_parser().parse_args(["sweep-r", "--out", str(out)])
+    tracemalloc.start()
+    try:
+        xs = cli._grid(args.x_lo, args.x_hi, steps, log=True, name="x range")
+        pts = cli._grid(args.pt_lo, args.pt_hi, 2, log=False, name="p_t range")
+        arrays = analytics.r(xs[:, None], pts[None, :]), analytics.break_even_pt(xs)
+        _, arrays_peak = tracemalloc.get_traced_memory()
+        del xs, pts, arrays
+        tracemalloc.reset_peak()
+        assert run_cli(*argv, fmt, "--out", str(out)) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - arrays_peak < contour_size
+
+
 def test_sweep_r_json_peaks_below_its_file_size(tmp_path):
     out = tmp_path / "grid.json"
     argv = ("sweep-r", "--out", str(out), "--format", "json", "--x-steps", "300", "--pt-steps", "100")

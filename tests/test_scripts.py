@@ -1,6 +1,6 @@
 """The scripts under scripts/ run end to end at small sizes; bench_pairs.py, which
-starts benchmark runs, and cli_bytes.py, which compares two trees, are checked on
-canned numbers and records."""
+starts benchmark runs, and cli_bytes.py and api_equal.py, which compare two trees,
+are checked on canned numbers and records and on one run of this tree."""
 
 import importlib.util
 import json
@@ -124,3 +124,14 @@ def test_cli_bytes_writes_bytes_inputs_as_given():
     run = cli_bytes.run_command(ROOT, command, inputs)
     assert run["exit"] == 2 and run["files"] == {} and run["stdout"] == b""
     assert run["stderr"].startswith(b"error: config bad.json is not UTF-8: ")
+
+
+def test_api_equal_chain_run_matches_itself():
+    # a real run of this tree against itself, each in its own fresh interpreter
+    api_equal = _load_script("api_equal")
+    spec = api_equal.configs()["chain_deep-seed-1"]
+    first, second = api_equal.run_config(ROOT, spec), api_equal.run_config(ROOT, spec)
+    assert first["exit"] == 0, first["stderr"]
+    assert first["stdout"].startswith(b"{'trials': 200, 'num_stages': 10, ")
+    assert api_equal.compare(first, second) == []
+    assert api_equal.compare(first, dict(second, stdout=b"{}\n")) == ["stdout"]
