@@ -43,6 +43,17 @@ def commands() -> dict[str, tuple[list[str], dict[str, str | bytes]]]:
         "chain-threshold-out": (["chain", "--threshold", "--out", "t.json"], {}),
         "chain-ideal": (["chain", "--config", "ideal.json", "--trials", "400", "--seed", "3"],
                         {"ideal.json": '{"alpha": 0.0, "p_t_override": 1.0}\n'}),
+        "chain-d0": (["chain", "--config", "d0.json", "--trials", "400", "--seed", "3"],
+                     {"d0.json": '{"d": 0}\n'}),
+        "loop-ideal": (["loop", "--config", "ideal.json", "--trials", "2000", "--seed", "3"],
+                       {"ideal.json": '{"p_t_override": 1.0}\n'}),
+        # alpha * d at the float limits: 0 for a positive alpha and d, and inf
+        "chain-x-underflow": (["chain", "--config", "x.json", "--trials", "50", "--seed", "1"],
+                              {"x.json": '{"alpha": 1e-5, "d": 1e-320}\n'}),
+        "chain-x-overflow": (["chain", "--config", "x.json", "--trials", "50", "--seed", "1"],
+                             {"x.json": '{"alpha": 1e308, "d": 1e308}\n'}),
+        "loop-x-overflow": (["loop", "--config", "x.json", "--trials", "50", "--seed", "1"],
+                            {"x.json": '{"alpha": 1e308, "d": 1e308}\n'}),
         "loop": (["loop", "--trials", "20000", "--seed", "11"], {}),
         "loop-per-gate": (["loop", "--mode", "per_gate", "--trials", "2000", "--seed", "13"], {}),
         "verify": (["verify"], {}),

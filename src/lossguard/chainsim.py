@@ -327,6 +327,30 @@ def analytic_loop_mean_cycles(config: ChainConfig) -> float:
     return q / (1.0 - q)
 
 
+def analytic_chain(config: ChainConfig) -> dict:
+    """The chain's closed forms; alpha' and r need x = alpha * d > 0, r also p_t > 0."""
+    params, pt, per_stage = config.params, config.effective_p_t(), config.stage_success()
+    p = analytics.survival_prob(params.alpha, params.d)
+    out = {"survival_prob": p, "p_f": p_f(p), "p_t": pt, "per_stage_success": per_stage,
+           "end_to_end_success": per_stage**config.num_stages}
+    if params.x > 0:  # a positive alpha and d can still multiply to 0, where r is refused
+        out["alpha_prime"] = analytics.alpha_prime(params.alpha, params.d)
+        if pt > 0:
+            out["r"] = analytics.r(params.x, pt)
+            out["alpha_prime_with_gates"] = 2.0 * params.alpha * out["r"]
+    return out
+
+
+def analytic_loop(config: ChainConfig) -> dict:
+    """The loop's closed forms; the bare fiber's half-decay time needs alpha > 0."""
+    params, mean = config.params, analytic_loop_mean_cycles(config)
+    out = {"per_cycle_success": config.stage_success(), "mean_cycles": mean,
+           "storage_time": mean * params.d / params.nu if math.isfinite(mean) else math.inf}
+    if params.alpha > 0:
+        out["bare_half_decay_time"] = analytics.storage_time(params.alpha, params.nu)
+    return out
+
+
 def compare_modes(config: ChainConfig, workers: int = 1) -> ModeComparison:
     """Run both gate-failure models on the same seed and compare rates.
 

@@ -67,8 +67,6 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
@@ -290,9 +288,8 @@ def cmd_sweep_r(args) -> int:
     xs = _grid(args.x_lo, args.x_hi, args.x_steps, log=True, name="x range")
     pts = _grid(args.pt_lo, args.pt_hi, args.pt_steps, log=False, name="p_t range")
     pt_list = pts.tolist()
-    with np.errstate(over="ignore"):  # x near 0 or the float limit: inf, the IEEE answer
-        grid = _checked(analytics.r, xs[:, None], pts[None, :])
-        contour = analytics.break_even_pt(xs)
+    grid = _checked(analytics.r, xs[:, None], pts[None, :])
+    contour = analytics.break_even_pt(xs)
     x_star, pt_star = analytics.min_break_even_pt()
 
     if args.format == "csv":
@@ -356,39 +353,6 @@ def _threshold_report() -> dict:
     }
 
 
-def _analytic_chain(config: chainsim.ChainConfig) -> dict:
-    params = config.params
-    p = analytics.survival_prob(params.alpha, params.d)
-    pt = config.effective_p_t()
-    per_stage = config.stage_success()
-    out = {
-        "survival_prob": p,
-        "p_f": analytics.p_f(p),
-        "p_t": pt,
-        "per_stage_success": per_stage,
-        "end_to_end_success": per_stage**config.num_stages,
-    }
-    if params.d > 0 and params.alpha > 0:
-        out["alpha_prime"] = analytics.alpha_prime(params.alpha, params.d)
-        if pt > 0:
-            out["r"] = analytics.r(params.x, pt)
-            out["alpha_prime_with_gates"] = 2.0 * params.alpha * out["r"]
-    return out
-
-
-def _analytic_loop(config: chainsim.ChainConfig) -> dict:
-    params = config.params
-    mean = chainsim.analytic_loop_mean_cycles(config)
-    out = {
-        "per_cycle_success": config.stage_success(),
-        "mean_cycles": mean,
-        "storage_time": mean * params.d / params.nu if math.isfinite(mean) else math.inf,
-    }
-    if params.alpha > 0:
-        out["bare_half_decay_time"] = analytics.storage_time(params.alpha, params.nu)
-    return out
-
-
 def _run_report(args, config: chainsim.ChainConfig, workers: int, run, analytic) -> int:
     """Run the configured simulation and write its report with the closed forms beside it."""
     report = {
@@ -408,12 +372,12 @@ def cmd_chain(args) -> int:
     config, workers = _build_run_config(args, _load_config(args.config)), _workers()  # read before --threshold
     if args.threshold:
         return cmd_threshold(args)
-    return _run_report(args, config, workers, chainsim.run_chain, _analytic_chain)
+    return _run_report(args, config, workers, chainsim.run_chain, chainsim.analytic_chain)
 
 
 def cmd_loop(args) -> int:
     config = _build_run_config(args, _load_config(args.config))
-    return _run_report(args, config, _workers(), chainsim.run_loop, _analytic_loop)
+    return _run_report(args, config, _workers(), chainsim.run_loop, chainsim.analytic_loop)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore"):  # an overflow reads inf, the IEEE answer, with no warning
+            return args.func(args)
     except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lossguard import chainsim, losscode
+from lossguard import analytics, chainsim, losscode
 from lossguard.analytics import TransponderParams, p_f, p_t_full, survival_prob
 from lossguard.chainsim import ChainConfig, compare_modes, run_chain, run_loop
 from lossguard.channel import MODE_AGGREGATE, MODE_PER_GATE, STATUSES
@@ -443,3 +443,66 @@ def test_config_is_frozen():
     cfg = ChainConfig(params=MID_PARAMS, trials=10)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.trials = 20
+
+
+# ---------------------------------------------------------------------------
+# closed forms beside a run
+
+CHAIN_KEYS = {"survival_prob", "p_f", "p_t", "per_stage_success", "end_to_end_success"}
+CHAIN_GATED = CHAIN_KEYS | {"alpha_prime", "r", "alpha_prime_with_gates"}
+LOOP_KEYS = {"per_cycle_success", "mean_cycles", "storage_time"}
+
+
+@pytest.mark.parametrize(
+    "params, override, chain_keys, loop_keys",
+    [
+        (MID_PARAMS, None, CHAIN_GATED, LOOP_KEYS | {"bare_half_decay_time"}),
+        (dataclasses.replace(MID_PARAMS, d=0.0), None, CHAIN_KEYS, LOOP_KEYS | {"bare_half_decay_time"}),
+        (dataclasses.replace(MID_PARAMS, alpha=0.0), None, CHAIN_KEYS, LOOP_KEYS),
+        (MID_PARAMS, 0.0, CHAIN_KEYS | {"alpha_prime"}, LOOP_KEYS | {"bare_half_decay_time"}),
+        (MID_PARAMS, 1.0, CHAIN_GATED, LOOP_KEYS | {"bare_half_decay_time"}),
+        # alpha * d underflows to 0 for a positive alpha and d
+        (dataclasses.replace(MID_PARAMS, alpha=1e-5, d=1e-320), None, CHAIN_KEYS,
+         LOOP_KEYS | {"bare_half_decay_time"}),
+        (dataclasses.replace(MID_PARAMS, alpha=1e-320, d=1e-5), None, CHAIN_KEYS,
+         LOOP_KEYS | {"bare_half_decay_time"}),
+    ],
+    ids=["paper", "d-0", "alpha-0", "p_t-0", "p_t-1", "x-underflow-d", "x-underflow-alpha"],
+)
+def test_analytic_blocks_keys_by_branch(params, override, chain_keys, loop_keys):
+    cfg = ChainConfig(params=params, num_stages=3, p_t_override=override)
+    chain, loop = chainsim.analytic_chain(cfg), chainsim.analytic_loop(cfg)
+    assert set(chain) == chain_keys and set(loop) == loop_keys
+    q = analytic_stage_success(cfg)
+    assert chain["survival_prob"] == survival_prob(params.alpha, params.d)
+    assert chain["p_t"] == cfg.effective_p_t()
+    assert chain["per_stage_success"] == q == loop["per_cycle_success"]
+    assert chain["end_to_end_success"] == q**3
+    assert loop["mean_cycles"] == chainsim.analytic_loop_mean_cycles(cfg)
+    assert loop["storage_time"] == loop["mean_cycles"] * params.d / params.nu
+
+
+def test_analytic_chain_at_the_paper_point():
+    chain = chainsim.analytic_chain(ChainConfig(params=MID_PARAMS))
+    assert chain["alpha_prime"] == analytics.alpha_prime(MID_PARAMS.alpha, MID_PARAMS.d)
+    assert chain["r"] == analytics.r(MID_PARAMS.x, p_t_full(MID_PARAMS))
+    assert chain["alpha_prime_with_gates"] == 2.0 * MID_PARAMS.alpha * chain["r"]
+
+
+def test_analytic_blocks_at_overflowing_x_read_the_ieee_limits():
+    cfg = ChainConfig(params=dataclasses.replace(MID_PARAMS, alpha=1e308, d=1e308))
+    with np.errstate(over="ignore"):
+        chain, loop = chainsim.analytic_chain(cfg), chainsim.analytic_loop(cfg)
+    assert set(chain) == CHAIN_GATED
+    assert chain["survival_prob"] == chain["p_f"] == chain["end_to_end_success"] == 0.0
+    assert chain["r"] == 1.5  # the asymptote of f
+    assert math.isinf(chain["alpha_prime"]) and math.isinf(chain["alpha_prime_with_gates"])
+    assert loop == {"per_cycle_success": 0.0, "mean_cycles": 0.0, "storage_time": 0.0,
+                    "bare_half_decay_time": 0.0}
+
+
+def test_analytic_loop_ignores_a_censoring_cap():
+    cfg = ChainConfig(params=IDEAL_PARAMS, p_t_override=1.0, max_cycles=30)
+    loop = chainsim.analytic_loop(cfg)
+    assert loop == {"per_cycle_success": 1.0, "mean_cycles": math.inf, "storage_time": math.inf}
+    assert chainsim.analytic_loop(dataclasses.replace(cfg, max_cycles=10**6)) == loop

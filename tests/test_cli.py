@@ -600,6 +600,46 @@ def test_chain_report_matches_analytics(config_file, tmp_path):
     assert report["seed"] == 3
 
 
+@pytest.mark.parametrize("command", ["chain", "loop"])
+def test_report_analytic_block_is_the_librarys(config_file, tmp_path, command):
+    out = tmp_path / "report.json"
+    assert run_cli(command, "--config", config_file, "--out", str(out)) == 0
+    config = chainsim.ChainConfig(params=TransponderParams(alpha=0.02, d=10.0, n=16, eta=1.0),
+                                  trials=2000, seed=3, p_t_override=0.9)
+    analytic = chainsim.analytic_chain if command == "chain" else chainsim.analytic_loop
+    assert json.loads(out.read_text())["analytic"] == analytic(config)
+
+
+@pytest.mark.parametrize("params", [{"alpha": 1e-5, "d": 1e-320}, {"alpha": 1e-320, "d": 1e-5}],
+                         ids=["d-subnormal", "alpha-subnormal"])
+def test_chain_with_underflowing_x_reports_without_alpha_prime(tmp_path, params):
+    # alpha * d is 0 though both are positive: no alpha' or r, which need x > 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(params))
+    out = tmp_path / "report.json"
+    assert run_cli("chain", "--config", str(cfg), "--trials", "50", "--seed", "1", "--out", str(out)) == 0
+    analytic = json.loads(out.read_text())["analytic"]
+    assert analytic["survival_prob"] == 1.0
+    assert not {"alpha_prime", "r", "alpha_prime_with_gates"} & set(analytic)
+
+
+@pytest.mark.parametrize("command", ["chain", "loop"])
+def test_run_reports_write_ieee_limits_without_warnings(tmp_path, capsys, command):
+    # alpha * d overflows: survival 0 and alpha' inf, as null, with nothing on stderr
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 1e308, "d": 1e308}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(command, "--config", str(cfg), "--trials", "50", "--seed", "1") == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    analytic = json.loads(captured.out)["analytic"]
+    if command == "chain":
+        assert analytic["survival_prob"] == 0.0 and analytic["alpha_prime"] is None
+    else:
+        assert analytic["per_cycle_success"] == 0.0 and analytic["mean_cycles"] == 0.0
+
+
 def test_chain_cli_flags_override_config(config_file, tmp_path):
     out = tmp_path / "report.json"
     assert (
