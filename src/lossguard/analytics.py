@@ -279,7 +279,7 @@ def resources(n: int, reduction_level: str) -> ResourceCount:
 
 
 def storage_time(alpha: float, nu: float) -> float:
-    """Bare half-attenuation dwell time of a fiber loop, 1 / (2 alpha nu)."""
+    """Bare half-attenuation dwell time of a fiber loop, 1 / (2 alpha nu), or inf if 2 alpha nu underflows."""
     if check_real("alpha", alpha, 0.0, math.inf) == 0 or check_real("nu", nu, 0.0, math.inf) == 0:
         raise ValueError("alpha and nu must be positive")
-    return 1.0 / (2.0 * alpha * nu)
+    return 1.0 / rate if (rate := 2.0 * alpha * nu) else math.inf

@@ -318,6 +318,12 @@ def test_storage_time_reference():
             storage_time(0.1, bad)
 
 
+def test_storage_time_reads_inf_where_alpha_nu_underflows():
+    # both positive, but 2 alpha nu rounds to 0: the IEEE limit of 1 / 0+, not a ZeroDivisionError
+    assert storage_time(5e-324, 0.1) == math.inf
+    assert storage_time(1.0 / 30.0, 0.1) == 1.0 / (2.0 * (1.0 / 30.0) * 0.1)  # elsewhere the same operations
+
+
 # ---------------------------------------------------------------------------
 # parameter container
 

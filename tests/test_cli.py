@@ -640,6 +640,18 @@ def test_run_reports_write_ieee_limits_without_warnings(tmp_path, capsys, comman
         assert analytic["per_cycle_success"] == 0.0 and analytic["mean_cycles"] == 0.0
 
 
+def test_loop_with_underflowing_alpha_nu_reports_an_unbounded_bare_time(tmp_path, capsys):
+    # alpha * nu is 0 though both are positive: the bare half-decay time is inf, written as null
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 5e-324, "nu": 0.1}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("loop", "--config", str(cfg), "--trials", "20", "--seed", "1") == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["analytic"]["bare_half_decay_time"] is None
+
+
 def test_chain_cli_flags_override_config(config_file, tmp_path):
     out = tmp_path / "report.json"
     assert (

@@ -1,6 +1,6 @@
 """The scripts under scripts/ run end to end at small sizes; bench_pairs.py, which
-starts benchmark runs, and cli_bytes.py and api_equal.py, which compare two trees,
-are checked on canned numbers and records and on one run of this tree."""
+starts benchmark runs, is checked on canned numbers.  tests/test_golden.py checks
+golden.py."""
 
 import importlib.util
 import json
@@ -52,19 +52,10 @@ def test_scripts_and_sample_config_run(tmp_path):
     assert report["params"]["n"] == 160
 
 
-def _load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _bench_pairs():
-    return _load_script("bench_pairs")
-
-
 def test_bench_pairs_alternates_sides_and_summarizes_canned_runs():
-    pairs = _bench_pairs()
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
     assert [pairs.pair_order(i) for i in range(3)] == [
         ("parent", "change"), ("change", "parent"), ("parent", "change"),
     ]
@@ -94,44 +85,3 @@ def test_bench_pairs_alternates_sides_and_summarizes_canned_runs():
     assert pairs.change_wins([1.0, 2.0], [2.0, 2.0], "higher") == 1
     one = pairs.summary([7.0])
     assert (one["q1"], one["median"], one["q3"]) == (7.0, 7.0, 7.0)
-
-
-def test_cli_bytes_names_each_differing_field():
-    cli_bytes = _load_script("cli_bytes")
-    base = {"exit": 0, "stdout": b"wrote\n", "stderr": b"", "files": {"a.csv": b"1\n", "b.csv": b"2\n"}}
-    assert cli_bytes.compare(base, dict(base)) == []
-    change = {"exit": 2, "stdout": b"wrote\n", "stderr": b"error\n", "files": {"a.csv": b"1.0\n", "c.csv": b""}}
-    assert cli_bytes.compare(base, change) == ["exit", "stderr", "file a.csv", "file b.csv", "file c.csv"]
-    assert cli_bytes.compare(base, dict(base, stdout=b"")) == ["stdout"]
-
-
-def test_cli_bytes_threshold_run_matches_itself():
-    # a real run of this tree against itself, each in its own fresh directory
-    cli_bytes = _load_script("cli_bytes")
-    command, inputs = cli_bytes.commands()["threshold"]
-    first = cli_bytes.run_command(ROOT, command, inputs)
-    second = cli_bytes.run_command(ROOT, command, inputs)
-    assert first["exit"] == 0 and set(first["files"]) == {"threshold.json"}
-    assert b"break-even ancilla count: n = 56" in first["stdout"]
-    assert cli_bytes.compare(first, second) == []
-
-
-def test_cli_bytes_writes_bytes_inputs_as_given():
-    # a non-UTF-8 config reaches the CLI byte for byte, and an input is not reported as output
-    cli_bytes = _load_script("cli_bytes")
-    command, inputs = cli_bytes.commands()["usage-config-not-utf8"]
-    assert inputs == {"bad.json": b"\xff\xfe{}"}
-    run = cli_bytes.run_command(ROOT, command, inputs)
-    assert run["exit"] == 2 and run["files"] == {} and run["stdout"] == b""
-    assert run["stderr"].startswith(b"error: config bad.json is not UTF-8: ")
-
-
-def test_api_equal_chain_run_matches_itself():
-    # a real run of this tree against itself, each in its own fresh interpreter
-    api_equal = _load_script("api_equal")
-    spec = api_equal.configs()["chain_deep-seed-1"]
-    first, second = api_equal.run_config(ROOT, spec), api_equal.run_config(ROOT, spec)
-    assert first["exit"] == 0, first["stderr"]
-    assert first["stdout"].startswith(b"{'trials': 200, 'num_stages': 10, ")
-    assert api_equal.compare(first, second) == []
-    assert api_equal.compare(first, dict(second, stdout=b"{}\n")) == ["stdout"]
