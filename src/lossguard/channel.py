@@ -162,9 +162,9 @@ def stage(
     return StageResult(STATUS_CORRECTED, _corrected(encoded, event.lost_position(), row[-1]), event)
 
 
-# block -> {lost rail: (readout bounds, a weak reference to each readout's corrected block)}: blocks
-# are held weakly on both sides, so the table keeps none alive, and a repeated (block, rail, readout)
-# gets the same immutable block.  Images are recomputed per readout: kept, they doubled memory.
+# block -> {lost rail: (readout bounds, images, weights, weak references to the readouts' blocks)}, one
+# entry per (block, rail).  Keys and blocks are held weakly, so the table keeps none alive.  Bit-equal blocks
+# of one input are one object; a loss is undone exactly, so it holds ~one block per correction count.
 _RECOVERIES: weakref.WeakKeyDictionary[PureState, dict] = weakref.WeakKeyDictionary()
 
 
@@ -174,20 +174,19 @@ def _corrected(encoded: PureState, position: int, u: float) -> PureState:
     rails = _RECOVERIES.get(encoded)
     if rails is None:
         rails = _RECOVERIES[encoded] = {}
-    bounds, refs = rails.get(position, (None, None))
-    if bounds is not None:
-        ref = refs[bisect_right(bounds, u)]
-        kept = ref and ref()
-        if kept is not None:
-            return kept
-    # The two values of the lost rail split the block into two columns; one
-    # product sends both through all four readout maps.
-    images, weights = losscode.recovery_images(encoded.amplitudes[losscode.SPLITS[position]], position)
-    weights = weights.tolist()
-    if bounds is None:
-        bounds, refs = losscode.readout_bounds([w0 + w1 for w0, w1 in weights]), [None] * len(weights)
-        rails[position] = bounds, refs
+    entry = rails.get(position)
+    if entry is None:
+        images, weights = losscode.recovery_images(encoded.amplitudes[losscode.SPLITS[position]], position)
+        weights = weights.tolist()
+        bounds = losscode.readout_bounds([w0 + w1 for w0, w1 in weights])
+        entry = rails[position] = bounds, images, weights, [None] * len(weights)
+    bounds, images, weights, refs = entry
     choice = bisect_right(bounds, u)
-    kept = PureState(DATA_QUBITS, losscode.corrected_block(images[choice], weights[choice]))
-    refs[choice] = weakref.ref(kept)
+    kept = refs[choice] and refs[choice]()
+    if kept is None:
+        amplitudes = losscode.corrected_block(images[choice], weights[choice])
+        live = (ref() for *_, handed in rails.values() for ref in handed if ref)
+        same = (block for block in live if block is not None and np.array_equal(block.amplitudes, amplitudes))
+        kept = next(same, None) or PureState(DATA_QUBITS, amplitudes)
+        refs[choice] = weakref.ref(kept)
     return kept

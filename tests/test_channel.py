@@ -586,7 +586,10 @@ def test_table_hands_out_one_block_per_readout_while_it_lives():
     u = readout_pick(block, 1, 2)[0]
     kept = corrected_by_stage(block, 1, u)
     assert corrected_by_stage(block, 1, u) is kept
-    assert corrected_by_stage(block, 1, readout_pick(block, 1, 0)[0]) is not kept
+    # readout 0's block is bit-equal to readout 2's, so it is the same object
+    other = corrected_by_stage(block, 1, readout_pick(block, 1, 0)[0])
+    assert other is kept and other.amplitudes.tobytes() == kept.amplitudes.tobytes()
+    del other
     ref, data = weakref.ref(kept), kept.amplitudes.tobytes()
     del kept
     gc.collect()
@@ -599,19 +602,55 @@ def test_table_hands_out_one_block_per_readout_while_it_lives():
     assert block_ref() is None and len(channel._RECOVERIES) == size - 1
 
 
-def test_table_is_empty_after_a_chain_run(monkeypatch):
-    class CountingTable(weakref.WeakKeyDictionary):
-        stored = 0
+class CountingTable(weakref.WeakKeyDictionary):
+    """The stage's table, counting the blocks stored in it."""
 
-        def __setitem__(self, key, value):
-            self.stored += 1
-            super().__setitem__(key, value)
+    stored = 0
 
+    def __setitem__(self, key, value):
+        self.stored += 1
+        super().__setitem__(key, value)
+
+
+@pytest.fixture
+def table(monkeypatch):
     table = CountingTable()
     monkeypatch.setattr(channel, "_RECOVERIES", table)
+    return table
+
+
+def test_table_is_empty_after_a_chain_run(table):
     stats = run_chain(ChainConfig(params=PARAMS, num_stages=5, trials=300, seed=4))
     assert stats.status_counts[STATUS_CORRECTED] > 0 and table.stored > 0
     assert len(table) == 0
+
+
+@pytest.mark.parametrize("mode", [MODE_AGGREGATE, MODE_PER_GATE])
+def test_a_deep_chain_stores_about_one_block_per_correction_count(table, mode):
+    # a survivor's block depends only on how many stages corrected it, so a 10-stage chunk
+    # keys the table on at most the encoded block and its 9 corrected forms that run again
+    params = TransponderParams(alpha=1.0 / 30.0, d=3.0, n=1000, eta=1.0)
+    stats = run_chain(ChainConfig(params=params, num_stages=10, trials=5_000, seed=1, mode=mode))
+    assert stats.status_counts[STATUS_CORRECTED] > 1_000
+    assert 0 < table.stored <= 10
+    assert len(table) == 0
+
+
+def test_table_shares_only_bit_equal_blocks_of_a_block_off_the_exact_code():
+    # inside the code space's tolerance, yet its corrected blocks are not all bit-equal
+    encoded = encoded_state(24).amplitudes
+    nudged = encoded + 1e-9 * np.random.default_rng(24).normal(size=16)
+    block = PureState(4, nudged / np.linalg.norm(nudged))
+    assert losscode.in_code_space(block)
+    handed = {}
+    for rail, m in itertools.product(range(4), range(4)):
+        u, images, weights = readout_pick(block, rail, m)
+        handed[rail, m] = corrected_by_stage(block, rail, u)
+        assert handed[rail, m].amplitudes.tobytes() == losscode.corrected_block(images, weights).tobytes()
+    distinct = {}
+    for got in handed.values():
+        assert distinct.setdefault(got.amplitudes.tobytes(), got) is got
+    assert 1 < len(distinct) < 16
 
 
 def test_stage_refuses_a_mixed_readout_of_a_fresh_block(monkeypatch):

@@ -453,6 +453,22 @@ def test_recovery_images_is_bit_equal_to_the_per_readout_products(position):
             assert np.array_equal(images[..., m, :, :], maps[m] @ columns)
 
 
+def test_every_single_loss_and_readout_leaves_the_same_bits():
+    # the paper's exact recovery, to the last bit: of a code block and of blocks corrected 1-3
+    # times, the 16 (rail, readout) corrected blocks and their readout probabilities agree
+    for seed in range(20):
+        block = losscode.encode(random_state(2, np.random.default_rng(seed))).amplitudes
+        for _ in range(4):
+            blocks, probs = set(), set()
+            for rail in range(4):
+                images, weights = losscode.recovery_images(block[losscode.SPLITS[rail]], rail)
+                for m, (w0, w1) in enumerate(weights.tolist()):
+                    blocks.add(losscode.corrected_block(images[m], [w0, w1]).tobytes())
+                    probs.add(w0 + w1)
+            assert len(blocks) == 1 and len(probs) == 1
+            block = np.frombuffer(blocks.pop(), dtype=complex)
+
+
 def test_corrected_block_keeps_the_normalized_image_of_parallel_columns():
     v = ket("0000", "1111")
     images = np.outer(3.0 * v, [0.6, 0.8])

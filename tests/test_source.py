@@ -1,5 +1,5 @@
 """Source-level checks over src/lossguard: no unused import, no dead top-level code,
-no reach into another module's private names."""
+no reach into another module's private names, no float bytes."""
 
 import ast
 from pathlib import Path
@@ -59,3 +59,14 @@ def test_no_module_reads_another_modules_private_names():
             elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lossguard"):
                 reads += [f"{name}: {node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
     assert reads == []
+
+
+def test_no_module_turns_floats_into_bytes():
+    # blocks are shared by np.array_equal over a handful of candidates, never looked up by their bytes
+    calls = [
+        f"{name}: line {node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "tobytes"
+    ]
+    assert calls == []
